@@ -2,15 +2,15 @@
 // pass pipeline targets (ISSUE 5 / ROADMAP "JIT-style loop specialization").
 //
 //   * conv2d 3x3 — the small fixed-extent inner reduction (ky/kx extent 3) that full
-//     unrolling + constant folding collapses, plus invariant hoisting and strength
-//     reduction on the surviving input-channel loop.
+//     unrolling + constant folding collapses, plus invariant hoisting on the
+//     surviving input-channel loop.
 //   * scalar dense — invariant row offsets hoisted out of the k loop.
 //   * batched dense chain (the bench_serving dispatch-bound model, rebatched) — the
 //     per-element batch-offset adds introduced by RebatchGraph hoist to once per
 //     row, exercising the CompileOptions::specialize inheritance path.
 //
 // Both variants run the same bytecode engine; only LoopSpecializeOptions differ
-// (Disabled() vs FromEnv()). Rows land in BENCH_vm.json next to the vm_speedup
+// (Disabled() vs the defaults). Rows land in BENCH_vm.json next to the vm_speedup
 // trajectory (the upsert-by-name sink keeps one line per bench across re-runs).
 #include <cstdio>
 #include <cstdlib>
@@ -155,9 +155,7 @@ void BenchKernelSpecialize(const std::string& name, BuiltKernel k, int repeats) 
        {"instr_base", static_cast<double>(bs.num_instructions)},
        {"instr_spec", static_cast<double>(ss.num_instructions)},
        {"unrolled_loops", static_cast<double>(ss.unrolled_loops)},
-       {"hoisted_lets", static_cast<double>(ss.hoisted_lets)},
-       {"strength_reduced", static_cast<double>(ss.strength_reduced)},
-       {"peephole_removed", static_cast<double>(ss.peephole_removed)}});
+       {"hoisted_lets", static_cast<double>(ss.hoisted_lets)}});
 }
 
 // The bench_serving dispatch-bound dense chain, compiled with and without loop

@@ -16,8 +16,6 @@ std::string TuningKey(const topi::OpWorkload& wl, const Target& target,
                       const LoopSpecializeOptions& spec) {
   std::string sig = "u" + std::to_string(spec.unroll_limit);
   sig += spec.hoist_invariants ? "_h1" : "_h0";
-  sig += spec.strength_reduce ? "_s1" : "_s0";
-  sig += spec.peephole ? "_p1" : "_p0";
   return wl.Key() + "@" + target.name + "@" + sig;
 }
 

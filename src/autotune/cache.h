@@ -34,7 +34,7 @@ inline constexpr int kTuningCacheVersion = 1;
 
 // Canonical cache key of one tuning point:
 //   <OpWorkload::Key()>@<target name>@<specialize signature>
-// e.g. "dense_n16_h1_w1_ic1_oc256_k256_s1_p0_float32@arm_cpu@u8_h1_s1_p1".
+// e.g. "dense_n16_h1_w1_ic1_oc256_k256_s1_p0_float32@arm_cpu@u8_h1".
 std::string TuningKey(const topi::OpWorkload& wl, const Target& target,
                       const LoopSpecializeOptions& spec);
 

@@ -7,9 +7,9 @@
 //     the XGBoost-style model;
 //   * the VM block (kVmFeatureDim): extracted from the *post*-specialization,
 //     *post*-vectorization TIR plus vm::GetProgramStats opcode counts of the
-//     compiled bytecode, so unroll / hoist / strength-reduction decisions shape
-//     the cost landscape the model learns (ExtractFeaturesVm). Sim-mode tasks
-//     leave the VM block zeroed (the machine model analyzes pre-VM TIR).
+//     compiled bytecode, so unroll / hoist decisions shape the cost landscape
+//     the model learns (ExtractFeaturesVm). Sim-mode tasks leave the VM block
+//     zeroed (the machine model analyzes pre-VM TIR).
 #ifndef SRC_AUTOTUNE_FEATURE_H_
 #define SRC_AUTOTUNE_FEATURE_H_
 
@@ -22,7 +22,7 @@ namespace tvmcpp {
 namespace autotune {
 
 inline constexpr int kFeatureDim = 48;     // classic analysis block
-inline constexpr int kVmFeatureDim = 16;   // bytecode-program block
+inline constexpr int kVmFeatureDim = 14;   // bytecode-program block
 inline constexpr int kFullFeatureDim = kFeatureDim + kVmFeatureDim;
 
 // Extracts the classic kFeatureDim block from analyzed program stats.

@@ -44,7 +44,7 @@ struct MeasureOptions {
   int repeats = 3;  // real mode: timed runs, minimum taken (TVMCPP_TUNE_REPEATS)
   // Specialization config the measured programs are compiled with. Part of the
   // tuning-cache key: a config tuned with unrolling on may lose without it.
-  LoopSpecializeOptions specialize = LoopSpecializeOptions::FromEnv();
+  LoopSpecializeOptions specialize;
 
   // Real measurement for CPU targets unless TVMCPP_TUNE_SIM=1; sim for GPU /
   // accelerator targets always. Also reads the warmup/repeat knobs.

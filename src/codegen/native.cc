@@ -316,7 +316,7 @@ bool RunLoweredNative(const LoweredFunc& func, const std::vector<BufferBinding>&
     }
   }
   if (!cached) {
-    kernel = CompileNativeKernel(func, LoopSpecializeOptions::FromEnv());
+    kernel = CompileNativeKernel(func, LoopSpecializeOptions{});
     std::lock_guard<std::mutex> lock(mu);
     if (cache->size() >= 1024) {
       cache->clear();  // crude eviction: bounds pinned ASTs in long-running processes

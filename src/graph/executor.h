@@ -52,8 +52,8 @@ struct CompileOptions {
   // VM loop-specialization config used when compiling each fused kernel's bytecode
   // program. Carried by value so Rebatched() variants inherit the base model's
   // setting — batched rows get the same unroll/hoist treatment (notably the hoisted
-  // batch-offset adds) without re-reading the environment at batch-compile time.
-  LoopSpecializeOptions specialize = LoopSpecializeOptions::FromEnv();
+  // batch-offset adds).
+  LoopSpecializeOptions specialize;
 };
 
 class CompiledGraph;

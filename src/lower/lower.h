@@ -10,7 +10,8 @@
 //      barrier injection for shared scopes, and tensorization (Section 4.3)
 //   4. simplification
 //
-// Post passes (target dependent): UnrollLoops, InjectVirtualThreads (Section 4.4).
+// Post passes (target dependent): InjectVirtualThreads (Section 4.4); the engines
+// unroll kUnrolled loops through SpecializeLoops.
 #ifndef SRC_LOWER_LOWER_H_
 #define SRC_LOWER_LOWER_H_
 
@@ -44,30 +45,20 @@ struct LoweredFunc {
 LoweredFunc Lower(const Schedule& sch, const std::vector<Tensor>& args,
                   const std::string& name);
 
-// Expands kUnrolled loops with constant extent <= max_extent into straight-line code.
-// (Implemented in src/lower/unroll.cc with the rest of the unrolling machinery.)
-Stmt UnrollLoops(const Stmt& s, int64_t max_extent = 16);
-
 // --- Loop specialization (src/lower/unroll.cc) -------------------------------------
-// Engine-side compile-time specialization applied by the VM compiler before bytecode
-// generation (see CompileToProgram): full unrolling of small fixed-extent innermost
-// loops with constant folding, and loop-invariant code motion of integer index
-// arithmetic into LetStmt bindings. The specialized body is bitwise-equivalent to the
-// original; the flags only trade compile time for execution speed.
+// Engine-side compile-time specialization applied by the VM compiler and the C
+// emitter (see vm::CompileToProgram, codegen::EmitC): full unrolling of small
+// fixed-extent innermost loops with constant folding, and loop-invariant code motion
+// of integer index arithmetic into LetStmt bindings. The specialized body is
+// bitwise-equivalent to the original; the flags only trade compile time for
+// execution speed.
 struct LoopSpecializeOptions {
   // Fully unroll innermost serial/unrolled loops with constant extent <= this
-  // (TVMCPP_UNROLL_LIMIT; 0 disables unrolling).
+  // (0 disables unrolling).
   int64_t unroll_limit = 8;
   // Hoist loop-invariant integer subexpressions out of innermost loops.
   bool hoist_invariants = true;
-  // Bytecode-level knobs consumed by the VM compiler (src/vm/vm.cc): strength
-  // reduction of affine loop-variable multiplies into per-iteration increments, and
-  // the peephole pass collapsing constant-operand arithmetic and dead register moves.
-  bool strength_reduce = true;
-  bool peephole = true;
-  // Reads TVMCPP_VM_SPECIALIZE (0 disables everything) and TVMCPP_UNROLL_LIMIT on
-  // every call, so tests can flip the knobs per case.
-  static LoopSpecializeOptions FromEnv();
+  // No unrolling and no hoisting: the body compiles as lowered.
   static LoopSpecializeOptions Disabled();
 };
 

@@ -2,14 +2,13 @@
 //
 // The execution engines pay per-iteration dispatch, back-edge, and index-arithmetic
 // cost on exactly the loops the schedules worked hardest to shape. This file removes
-// that cost ahead of bytecode compilation:
+// that cost ahead of bytecode compilation and C emission:
 //
-//   * UnrollLoops       — expands schedule-requested ForType::kUnrolled loops
-//                         (moved here from passes.cc).
-//   * SpecializeLoops   — the engine-side pipeline (applied by the VM compiler):
+//   * SpecializeLoops   — the engine-side pipeline (applied by the VM compiler and
+//                         the C emitter):
 //       1. fully unrolls *innermost* serial/unrolled loops whose constant extent is
-//          <= LoopSpecializeOptions::unroll_limit (TVMCPP_UNROLL_LIMIT), constant-
-//          folding the resulting constant indices through Simplify;
+//          <= LoopSpecializeOptions::unroll_limit, constant-folding the resulting
+//          constant indices through Simplify;
 //       2. hoists subexpressions invariant in the innermost loop — pure integer
 //          index arithmetic such as the row offsets of a dense kernel or the
 //          batch-offset adds introduced by RebatchGraph — into LetStmt bindings
@@ -23,7 +22,6 @@
 // produced exactly as before. tests/test_specialize.cc enforces this differentially
 // under TVMCPP_VM_STRICT=1.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -39,7 +37,7 @@ namespace tvmcpp {
 
 namespace {
 
-// Shared expansion body: one simplified copy of `body` per iteration value, in
+// Full expansion: one simplified copy of `body` per iteration value, in
 // original order, the loop variable substituted by its constant.
 Stmt ExpandConstLoop(const ForNode* n, int64_t min_v, int64_t extent) {
   std::vector<Stmt> unrolled;
@@ -50,31 +48,6 @@ Stmt ExpandConstLoop(const ForNode* n, int64_t min_v, int64_t extent) {
   }
   return seq(std::move(unrolled));
 }
-
-// Schedule-requested unrolling: expands kUnrolled loops (moved from passes.cc so all
-// unrolling machinery lives in one place).
-class Unroller : public StmtMutator {
- public:
-  explicit Unroller(int64_t max_extent) : max_extent_(max_extent) {}
-
- protected:
-  Stmt MutateFor(const ForNode* op, const Stmt& s) override {
-    Stmt base = StmtMutator::MutateFor(op, s);
-    const auto* n = static_cast<const ForNode*>(base.get());
-    if (n->for_type != ForType::kUnrolled) {
-      return base;
-    }
-    int64_t extent, min_v;
-    if (!is_const_int(n->extent, &extent) || !is_const_int(n->min, &min_v) ||
-        extent > max_extent_) {
-      return base;
-    }
-    return ExpandConstLoop(n, min_v, extent);
-  }
-
- private:
-  int64_t max_extent_;
-};
 
 // Number of primitive statements (stores, evaluates) in a subtree: the unroll size
 // guard multiplies this by the extent to bound code growth.
@@ -410,9 +383,8 @@ class MulReplacer : public StmtMutator {
 // immediately outside the loop, computed once per outer iteration instead of once
 // per element. A second step binds *loop-var-dependent* multiplies that recur in
 // the body (an unrolled nest recomputes `ic * stride` in every copy) to one LetStmt
-// at the top of the body — computed once per iteration, and with a single write
-// site the VM compiler's strength reduction can turn `i * stride` into a running
-// accumulator.
+// at the top of the body, computed once per iteration. Single-use affine
+// `i * stride` products are bound the same way.
 class InvariantHoister : public StmtMutator {
  public:
   InvariantHoister(int* hoisted, int* csed) : hoisted_(hoisted), csed_(csed) {}
@@ -470,9 +442,8 @@ class InvariantHoister : public StmtMutator {
     for (const auto& [key, expr] : muls) {
       const auto* b = static_cast<const BinaryNode*>(expr.get());
       bool affine = b->a.get() == n->loop_var.get() || b->b.get() == n->loop_var.get();
-      // Repeated products are worth one compute per iteration on their own;
-      // single-use `i * stride` still wins by becoming a strength-reduced
-      // accumulator in the VM.
+      // Repeated products are worth one compute per iteration; single-use
+      // affine products (`i * stride`) are bound as well.
       if (mul_count.at(key) >= 2 || affine) {
         selected.emplace_back(key, expr);
         mul_bindings.emplace(key, make_var("mulcse" + std::to_string(next_id_++),
@@ -507,34 +478,10 @@ class InvariantHoister : public StmtMutator {
 
 }  // namespace
 
-Stmt UnrollLoops(const Stmt& s, int64_t max_extent) {
-  Unroller u(max_extent);
-  return u.MutateStmt(s);
-}
-
-LoopSpecializeOptions LoopSpecializeOptions::FromEnv() {
-  // Read fresh on every call (no static caching): tests flip the knobs per case.
-  LoopSpecializeOptions opts;
-  if (const char* s = std::getenv("TVMCPP_VM_SPECIALIZE")) {
-    if (std::string(s) == "0") {
-      return Disabled();
-    }
-  }
-  if (const char* s = std::getenv("TVMCPP_UNROLL_LIMIT")) {
-    opts.unroll_limit = std::atoll(s);
-    if (opts.unroll_limit < 0) {
-      opts.unroll_limit = 0;
-    }
-  }
-  return opts;
-}
-
 LoopSpecializeOptions LoopSpecializeOptions::Disabled() {
   LoopSpecializeOptions opts;
   opts.unroll_limit = 0;
   opts.hoist_invariants = false;
-  opts.strength_reduce = false;
-  opts.peephole = false;
   return opts;
 }
 

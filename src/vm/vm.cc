@@ -147,8 +147,6 @@ struct Program {
   int spec_unrolled_loops = 0;
   int spec_hoisted_lets = 0;
   int spec_csed_muls = 0;
-  int spec_strength_reduced = 0;
-  int spec_peephole_removed = 0;
 };
 
 namespace {
@@ -172,8 +170,7 @@ ElemKind ElemKindOf(DataType t) {
 
 class Compiler {
  public:
-  Compiler(const LoopSpecializeOptions& spec, const LoopSpecializeStats& ir_stats)
-      : spec_(spec) {
+  explicit Compiler(const LoopSpecializeStats& ir_stats) {
     prog_.spec_unrolled_loops = ir_stats.unrolled_loops;
     prog_.spec_hoisted_lets = ir_stats.hoisted_lets;
     prog_.spec_csed_muls = ir_stats.csed_muls;
@@ -1364,467 +1361,19 @@ class Compiler {
       d.body_begin = body_begin;
       d.body_end = Here();
     } else {
-      // Strength reduction reserves accumulator registers *before* the body compiles
-      // (body temporaries must live above them) and emits self-mov placeholder slots
-      // for the init/increment instructions; unused slots stay self-movs and the
-      // dead-code sweep removes them, so positions of already-patched jump targets
-      // never shift during compilation.
-      bool sr = spec_.strength_reduce;
-      int32_t acc_base = -1;
-      int32_t pre_slots[kMaxStrengthRed] = {0};
-      int32_t post_slots[kMaxStrengthRed] = {0};
-      if (sr) {
-        acc_base = top_;
-        for (int k = 0; k < kMaxStrengthRed; ++k) {
-          AllocReg();
-        }
-      }
       Emit({Op::kMov, 0, 0, loop_reg, rmin, 0, 0});
-      if (sr) {
-        for (int k = 0; k < kMaxStrengthRed; ++k) {
-          pre_slots[k] = Emit(SelfMov());
-        }
-      }
       int32_t test = Emit({Op::kJmpGeI, 0, 0, 0, loop_reg, rbound, 0});
-      int32_t body_begin = Here();
       CompileStmt(n->body);
-      int32_t body_end = Here();
       Emit({Op::kIncI, 0, 0, loop_reg, 0, 0, 0});
-      if (sr) {
-        for (int k = 0; k < kMaxStrengthRed; ++k) {
-          post_slots[k] = Emit(SelfMov());
-        }
-      }
       Emit({Op::kJmp, 0, 0, 0, 0, 0, test});
       PatchTarget(test, Here());
-      if (sr && ok_) {
-        StrengthReduce(body_begin, body_end, loop_reg, rmin, acc_base, pre_slots,
-                       post_slots);
-      }
     }
     top_ = mark;
-  }
-
-  // --- bytecode specialization -------------------------------------------------
-  // Strength reduction and the peephole pass work on the emitted instruction stream
-  // before Finalize(), while constants are still identifiable (negative placeholder
-  // ids with values in const_vals_). Deleted instructions are first tombstoned as
-  // self-movs (kMov r0, r0 — never emitted by regular compilation) so positions stay
-  // stable, then SweepDeadCode() drops the tombstones and remaps jump targets.
-
-  static Instr SelfMov() { return {Op::kMov, 0, 0, 0, 0, 0, 0}; }
-
-  static bool IsSelfMov(const Instr& in) {
-    return in.op == Op::kMov && in.dst == in.a;
-  }
-
-  // Applies `fn` to every field of `in` naming a *scalar* register the executor
-  // reads. Vector-file operands are a separate register space and are never
-  // enumerated; descriptor-held registers (tensor intrinsics, parallel loops) are
-  // handled by the callers that need them.
-  template <typename Fn>
-  static void ForEachScalarRead(Instr& in, Fn&& fn) {
-    switch (in.op) {
-      case Op::kMov:
-      case Op::kIntToFloat:
-      case Op::kFloatToInt:
-      case Op::kWrapInt:
-      case Op::kQuantF16:
-      case Op::kNot:
-      case Op::kBoolF:
-      case Op::kCallUnary:
-      case Op::kPopcount:
-        fn(in.a);
-        break;
-      case Op::kAddI: case Op::kAddF: case Op::kSubI: case Op::kSubF:
-      case Op::kMulI: case Op::kMulF: case Op::kDivF: case Op::kFloorDivI:
-      case Op::kFloorModI: case Op::kMinI: case Op::kMinF: case Op::kMaxI:
-      case Op::kMaxF: case Op::kEqI: case Op::kEqF: case Op::kNeI: case Op::kNeF:
-      case Op::kLtI: case Op::kLtF: case Op::kLeI: case Op::kLeF: case Op::kGtI:
-      case Op::kGtF: case Op::kGeI: case Op::kGeF: case Op::kAnd: case Op::kOr:
-        fn(in.a);
-        fn(in.b);
-        break;
-      case Op::kJmpIfZero:
-        fn(in.a);
-        break;
-      case Op::kJmpGeI:
-        fn(in.a);
-        fn(in.b);
-        break;
-      case Op::kIncI:
-        fn(in.dst);  // read-modify-write
-        break;
-      case Op::kLoadF32: case Op::kLoadI8: case Op::kLoadI32: case Op::kLoadI64:
-        fn(in.a);
-        break;
-      case Op::kStoreF32: case Op::kStoreF16: case Op::kStoreI8:
-      case Op::kStoreI32: case Op::kStoreI64:
-        fn(in.a);
-        fn(in.b);
-        break;
-      case Op::kAlloc:
-        fn(in.a);
-        break;
-      case Op::kAssert:
-        fn(in.a);
-        break;
-      case Op::kVRamp:
-        fn(in.a);
-        fn(in.b);
-        break;
-      case Op::kVBroadcast:
-        fn(in.a);
-        break;
-      default:
-        break;  // kJmp/kTensorIntrin/kParFor and the remaining vector opcodes
-    }
-  }
-
-  // True when ForEachScalarRead/ScalarWriteOf fully model `op`'s scalar-register
-  // usage. Exhaustive over the Op enum with no default, so adding an opcode without
-  // classifying it here trips -Wswitch where enabled — and at run time the
-  // optimization passes refuse to touch programs containing unmodeled opcodes
-  // (fail closed) instead of silently folding registers they cannot see.
-  static bool ScalarUseModeled(Op op) {
-    switch (op) {
-      case Op::kMov: case Op::kIntToFloat: case Op::kFloatToInt: case Op::kWrapInt:
-      case Op::kQuantF16: case Op::kNot: case Op::kBoolF: case Op::kCallUnary:
-      case Op::kPopcount:
-      case Op::kAddI: case Op::kAddF: case Op::kSubI: case Op::kSubF:
-      case Op::kMulI: case Op::kMulF: case Op::kDivF: case Op::kFloorDivI:
-      case Op::kFloorModI: case Op::kMinI: case Op::kMinF: case Op::kMaxI:
-      case Op::kMaxF: case Op::kEqI: case Op::kEqF: case Op::kNeI: case Op::kNeF:
-      case Op::kLtI: case Op::kLtF: case Op::kLeI: case Op::kLeF: case Op::kGtI:
-      case Op::kGtF: case Op::kGeI: case Op::kGeF: case Op::kAnd: case Op::kOr:
-      case Op::kJmp: case Op::kJmpIfZero: case Op::kJmpGeI: case Op::kIncI:
-      case Op::kLoadF32: case Op::kLoadI8: case Op::kLoadI32: case Op::kLoadI64:
-      case Op::kStoreF32: case Op::kStoreF16: case Op::kStoreI8:
-      case Op::kStoreI32: case Op::kStoreI64:
-      case Op::kAlloc: case Op::kAssert: case Op::kTensorIntrin: case Op::kParFor:
-      case Op::kVRamp: case Op::kVBroadcast: case Op::kVMov:
-      case Op::kVIntToFloat: case Op::kVFloatToInt: case Op::kVBoolF:
-      case Op::kVNot: case Op::kVQuantF16: case Op::kVWrapInt:
-      case Op::kVAddI: case Op::kVAddF: case Op::kVSubI: case Op::kVSubF:
-      case Op::kVMulI: case Op::kVMulF: case Op::kVDivF: case Op::kVFloorDivI:
-      case Op::kVFloorModI: case Op::kVMinI: case Op::kVMinF: case Op::kVMaxI:
-      case Op::kVMaxF: case Op::kVEqI: case Op::kVEqF: case Op::kVNeI:
-      case Op::kVNeF: case Op::kVLtI: case Op::kVLtF: case Op::kVLeI:
-      case Op::kVLeF: case Op::kVGtI: case Op::kVGtF: case Op::kVGeI:
-      case Op::kVGeF: case Op::kVAnd: case Op::kVOr: case Op::kVSelect:
-      case Op::kVCallUnary: case Op::kVPopcount:
-      case Op::kVLoadF32: case Op::kVLoadI8: case Op::kVLoadI32: case Op::kVLoadI64:
-      case Op::kVStoreF32: case Op::kVStoreF16: case Op::kVStoreI8:
-      case Op::kVStoreI32: case Op::kVStoreI64:
-        return true;
-    }
-    return false;
-  }
-
-  bool AllScalarUseModeled(int32_t begin, int32_t end) const {
-    for (int32_t pc = begin; pc < end; ++pc) {
-      if (!ScalarUseModeled(prog_.code[static_cast<size_t>(pc)].op)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  // The scalar register `in` writes, or -1.
-  static int32_t ScalarWriteOf(const Instr& in) {
-    switch (in.op) {
-      case Op::kMov:
-      case Op::kIntToFloat:
-      case Op::kFloatToInt:
-      case Op::kWrapInt:
-      case Op::kQuantF16:
-      case Op::kNot:
-      case Op::kBoolF:
-      case Op::kCallUnary:
-      case Op::kPopcount:
-      case Op::kIncI:
-      case Op::kAddI: case Op::kAddF: case Op::kSubI: case Op::kSubF:
-      case Op::kMulI: case Op::kMulF: case Op::kDivF: case Op::kFloorDivI:
-      case Op::kFloorModI: case Op::kMinI: case Op::kMinF: case Op::kMaxI:
-      case Op::kMaxF: case Op::kEqI: case Op::kEqF: case Op::kNeI: case Op::kNeF:
-      case Op::kLtI: case Op::kLtF: case Op::kLeI: case Op::kLeF: case Op::kGtI:
-      case Op::kGtF: case Op::kGeI: case Op::kGeF: case Op::kAnd: case Op::kOr:
-      case Op::kLoadF32: case Op::kLoadI8: case Op::kLoadI32: case Op::kLoadI64:
-        return in.dst;
-      default:
-        return -1;
-    }
-  }
-
-  // Writes of `reg` inside [begin, end), including parallel-loop descriptors whose
-  // kParFor instruction sits in the range (the executor writes their loop register).
-  int WriteCountInRange(int32_t reg, int32_t begin, int32_t end) const {
-    int count = 0;
-    for (int32_t pc = begin; pc < end; ++pc) {
-      const Instr& in = prog_.code[static_cast<size_t>(pc)];
-      if (ScalarWriteOf(in) == reg) {
-        ++count;
-      }
-      if (in.op == Op::kParFor &&
-          prog_.parfors[static_cast<size_t>(in.idx)].loop_reg == reg) {
-        ++count;
-      }
-    }
-    return count;
-  }
-
-  // Rewrites reads of `from` to `to` in the instructions of [begin, end) and in the
-  // descriptors their kTensorIntrin/kParFor instructions reference.
-  void RewriteReadsInRange(int32_t begin, int32_t end, int32_t from, int32_t to,
-                           int32_t skip_pc = -1) {
-    for (int32_t pc = begin; pc < end; ++pc) {
-      if (pc == skip_pc) {
-        continue;
-      }
-      Instr& in = prog_.code[static_cast<size_t>(pc)];
-      if (IsSelfMov(in)) {
-        continue;  // tombstone: rewriting its fields would un-tombstone it
-      }
-      ForEachScalarRead(in, [&](int32_t& r) {
-        if (r == from) {
-          r = to;
-        }
-      });
-      if (in.op == Op::kTensorIntrin) {
-        TensorIntrinDesc& d = prog_.intrins[static_cast<size_t>(in.idx)];
-        for (int32_t& r : d.base_reg) { if (r == from) r = to; }
-        for (int32_t& r : d.stride_reg) { if (r == from) r = to; }
-        for (int32_t& r : d.extent_reg) { if (r == from) r = to; }
-      } else if (in.op == Op::kParFor) {
-        ParForDesc& d = prog_.parfors[static_cast<size_t>(in.idx)];
-        if (d.min_reg == from) d.min_reg = to;
-        if (d.bound_reg == from) d.bound_reg = to;
-      }
-    }
-  }
-
-  // Strength reduction over one serial loop's body range: a kMulI of the loop
-  // register with a loop-invariant operand recomputes `i * stride` every iteration.
-  // The product moves to a reserved accumulator initialized to `min * stride` before
-  // the loop and bumped by `stride` at the back edge; readers of the old result are
-  // redirected to the accumulator and the multiply is tombstoned. Safety: the result
-  // register must be a body-local temporary (allocated above the reserved
-  // accumulators, hence dead after the loop) with exactly one write in the range, so
-  // redirecting its readers cannot affect any other lifetime of the slot.
-  void StrengthReduce(int32_t begin, int32_t end, int32_t loop_reg, int32_t rmin,
-                      int32_t acc_base, const int32_t* pre_slots,
-                      const int32_t* post_slots) {
-    if (!AllScalarUseModeled(begin, end)) {
-      return;  // fail closed: never rewrite around opcodes we cannot model
-    }
-    int used = 0;
-    for (int32_t pc = begin; pc < end && used < kMaxStrengthRed; ++pc) {
-      Instr in = prog_.code[static_cast<size_t>(pc)];
-      if (in.op != Op::kMulI) {
-        continue;
-      }
-      int32_t other;
-      if (in.a == loop_reg && in.b != loop_reg) {
-        other = in.b;
-      } else if (in.b == loop_reg && in.a != loop_reg) {
-        other = in.a;
-      } else {
-        continue;  // not affine in the loop var (or i*i)
-      }
-      if (in.dst < acc_base + kMaxStrengthRed) {
-        continue;  // not a body-local temporary
-      }
-      // An accumulator of this loop varies per iteration; never treat it as the
-      // invariant operand (i * acc would be quadratic, not affine).
-      if (other >= acc_base && other < acc_base + kMaxStrengthRed) {
-        continue;
-      }
-      if (other >= 0 && WriteCountInRange(other, begin, end) > 0) {
-        continue;  // operand not invariant in the loop
-      }
-      if (WriteCountInRange(in.dst, begin, end) != 1) {
-        continue;
-      }
-      int32_t acc = acc_base + used;
-      prog_.code[static_cast<size_t>(pre_slots[used])] =
-          {Op::kMulI, 0, 0, acc, rmin, other, 0};
-      prog_.code[static_cast<size_t>(post_slots[used])] =
-          {Op::kAddI, 0, 0, acc, acc, other, 0};
-      RewriteReadsInRange(begin, end, in.dst, acc, /*skip_pc=*/pc);
-      prog_.code[static_cast<size_t>(pc)] = SelfMov();
-      ++prog_.spec_strength_reduced;
-      ++used;
-    }
-  }
-
-  // Peephole over the whole program: collapses constant-operand arithmetic (both
-  // operands in the constant pool) into new pool constants and propagates
-  // constant-source movs, tombstoning the collapsed instructions. Only applied when
-  // the result register has exactly one write in the entire program — then every
-  // read anywhere observes that write, and redirecting readers to the folded
-  // constant is unconditionally safe. Float folds use the same double arithmetic as
-  // the executor, so results stay bitwise identical.
-  void Peephole() {
-    if (!AllScalarUseModeled(0, static_cast<int32_t>(prog_.code.size()))) {
-      return;  // fail closed: never rewrite around opcodes we cannot model
-    }
-    for (int round = 0; round < 4; ++round) {
-      std::vector<int> writes(static_cast<size_t>(max_top_), 0);
-      for (const Instr& in : prog_.code) {
-        int32_t w = ScalarWriteOf(in);
-        if (w >= 0 && w < max_top_ && !IsSelfMov(in)) {
-          ++writes[static_cast<size_t>(w)];
-        }
-      }
-      for (const ParForDesc& d : prog_.parfors) {
-        if (d.loop_reg >= 0 && d.loop_reg < max_top_) {
-          ++writes[static_cast<size_t>(d.loop_reg)];
-        }
-      }
-      bool changed = false;
-      for (size_t i = 0; i < prog_.code.size(); ++i) {
-        Instr in = prog_.code[i];
-        if (IsSelfMov(in) || ScalarWriteOf(in) < 0 || in.op == Op::kIncI) {
-          continue;
-        }
-        if (in.dst < 0 || in.dst >= max_top_ ||
-            writes[static_cast<size_t>(in.dst)] != 1) {
-          continue;
-        }
-        int32_t to;
-        if (in.op == Op::kMov && in.a < 0) {
-          to = in.a;  // constant-source mov: readers can use the constant directly
-        } else if (!FoldConstInstr(in, &to)) {
-          continue;
-        }
-        RewriteReadsInRange(0, static_cast<int32_t>(prog_.code.size()), in.dst, to);
-        prog_.code[i] = SelfMov();
-        changed = true;
-      }
-      if (!changed) {
-        break;
-      }
-    }
-  }
-
-  // Evaluates `in` when all operands are pool constants, mirroring RunRange exactly.
-  // On success *out is a constant register holding the result.
-  bool FoldConstInstr(const Instr& in, int32_t* out) {
-    auto cv = [&](int32_t r) { return const_vals_[static_cast<size_t>(-r - 1)]; };
-    bool unary = false;
-    switch (in.op) {
-      case Op::kIntToFloat: case Op::kFloatToInt: case Op::kWrapInt:
-      case Op::kQuantF16: case Op::kNot: case Op::kBoolF:
-        unary = true;
-        break;
-      default:
-        break;
-    }
-    if (in.a >= 0 || (!unary && in.b >= 0)) {
-      return false;
-    }
-    VMValue a = cv(in.a);
-    VMValue b = unary ? VMValue{} : cv(in.b);
-    switch (in.op) {
-      case Op::kIntToFloat: *out = ConstF(static_cast<double>(a.i)); return true;
-      case Op::kFloatToInt: *out = ConstI(static_cast<int64_t>(a.f)); return true;
-      case Op::kWrapInt: {
-        int64_t i = a.i;
-        int64_t mod = int64_t{1} << in.bits;
-        i = ((i % mod) + mod) % mod;
-        if (in.flag != 0 && i >= (mod >> 1)) {
-          i -= mod;
-        }
-        *out = ConstI(i);
-        return true;
-      }
-      case Op::kQuantF16:
-        *out = ConstF(static_cast<double>(QuantizeFloat16(static_cast<float>(a.f))));
-        return true;
-      case Op::kNot: *out = ConstI(a.i != 0 ? 0 : 1); return true;
-      case Op::kBoolF: *out = ConstI(a.f != 0); return true;
-      case Op::kAddI: *out = ConstI(a.i + b.i); return true;
-      case Op::kSubI: *out = ConstI(a.i - b.i); return true;
-      case Op::kMulI: *out = ConstI(a.i * b.i); return true;
-      case Op::kFloorDivI:
-        if (b.i == 0) return false;
-        *out = ConstI(FloorDiv(a.i, b.i));
-        return true;
-      case Op::kFloorModI:
-        if (b.i == 0) return false;
-        *out = ConstI(FloorMod(a.i, b.i));
-        return true;
-      case Op::kMinI: *out = ConstI(std::min(a.i, b.i)); return true;
-      case Op::kMaxI: *out = ConstI(std::max(a.i, b.i)); return true;
-      case Op::kAddF: *out = ConstF(a.f + b.f); return true;
-      case Op::kSubF: *out = ConstF(a.f - b.f); return true;
-      case Op::kMulF: *out = ConstF(a.f * b.f); return true;
-      case Op::kDivF: *out = ConstF(a.f / b.f); return true;
-      case Op::kMinF: *out = ConstF(std::min(a.f, b.f)); return true;
-      case Op::kMaxF: *out = ConstF(std::max(a.f, b.f)); return true;
-      case Op::kEqI: *out = ConstI(a.i == b.i); return true;
-      case Op::kNeI: *out = ConstI(a.i != b.i); return true;
-      case Op::kLtI: *out = ConstI(a.i < b.i); return true;
-      case Op::kLeI: *out = ConstI(a.i <= b.i); return true;
-      case Op::kGtI: *out = ConstI(a.i > b.i); return true;
-      case Op::kGeI: *out = ConstI(a.i >= b.i); return true;
-      case Op::kEqF: *out = ConstI(a.f == b.f); return true;
-      case Op::kNeF: *out = ConstI(a.f != b.f); return true;
-      case Op::kLtF: *out = ConstI(a.f < b.f); return true;
-      case Op::kLeF: *out = ConstI(a.f <= b.f); return true;
-      case Op::kGtF: *out = ConstI(a.f > b.f); return true;
-      case Op::kGeF: *out = ConstI(a.f >= b.f); return true;
-      case Op::kAnd: *out = ConstI((a.i != 0) && (b.i != 0)); return true;
-      case Op::kOr: *out = ConstI((a.i != 0) || (b.i != 0)); return true;
-      default:
-        return false;
-    }
-  }
-
-  // Drops self-mov tombstones (and the never-used reserved strength-reduction
-  // slots), remapping jump targets and parallel-loop body ranges. A deleted
-  // position that was itself a branch target maps to the next surviving
-  // instruction, which is exactly where the tombstone would have fallen through.
-  void SweepDeadCode() {
-    size_t n = prog_.code.size();
-    std::vector<int32_t> map(n + 1, 0);
-    std::vector<Instr> kept;
-    kept.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      map[i] = static_cast<int32_t>(kept.size());
-      if (IsSelfMov(prog_.code[i])) {
-        // Attributed to the peephole counter only when that pass ran: the sweep
-        // also drops strength-reduction placeholders, which are not peephole wins.
-        if (spec_.peephole) {
-          ++prog_.spec_peephole_removed;
-        }
-        continue;
-      }
-      kept.push_back(prog_.code[i]);
-    }
-    map[n] = static_cast<int32_t>(kept.size());
-    for (Instr& in : kept) {
-      if (in.op == Op::kJmp || in.op == Op::kJmpIfZero || in.op == Op::kJmpGeI) {
-        in.idx = map[static_cast<size_t>(in.idx)];
-      }
-    }
-    for (ParForDesc& d : prog_.parfors) {
-      d.body_begin = map[static_cast<size_t>(d.body_begin)];
-      d.body_end = map[static_cast<size_t>(d.body_end)];
-    }
-    prog_.code = std::move(kept);
   }
 
   // Rewrites negative constant placeholders to dense register slots above the scoped
   // high-water mark and materializes the initial register image.
   void Finalize() {
-    if (spec_.peephole) {
-      Peephole();
-    }
-    // Always sweep: strength reduction and constant folding leave self-mov
-    // tombstones (and reserved-but-unused accumulator slots) behind, and genuine
-    // self-movs from register coincidence are no-ops either way.
-    SweepDeadCode();
     auto fix = [this](int32_t& r) {
       if (r < 0) {
         r = max_top_ + (-r - 1);
@@ -1852,10 +1401,7 @@ class Compiler {
     prog_.num_vregs = vmax_top_;
   }
 
-  static constexpr int kMaxStrengthRed = 4;
-
   Program prog_;
-  LoopSpecializeOptions spec_;
   std::unordered_map<const VarNode*, VarBinding> var_of_;
   std::unordered_map<const VarNode*, int32_t> buf_of_;
   std::vector<ElemKind> buf_kind_;  // per slot
@@ -2458,7 +2004,7 @@ void RunRange(const Program& p, ExecState& st, int32_t pc, int32_t end,
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const Program> CompileToProgram(const LoweredFunc& func) {
-  return CompileToProgram(func, LoopSpecializeOptions::FromEnv());
+  return CompileToProgram(func, LoopSpecializeOptions{});
 }
 
 std::shared_ptr<const Program> CompileToProgram(const LoweredFunc& func,
@@ -2483,7 +2029,7 @@ std::shared_ptr<const Program> CompileToProgram(const LoweredFunc& func,
     body = SpecializeLoops(body, spec, &ir_stats);
   }
   body = Simplify(body);
-  Compiler compiler(spec, ir_stats);
+  Compiler compiler(ir_stats);
   return compiler.Compile(func, body);
 }
 
@@ -2600,8 +2146,6 @@ ProgramStats GetProgramStats(const Program& program) {
   st.unrolled_loops = program.spec_unrolled_loops;
   st.hoisted_lets = program.spec_hoisted_lets;
   st.csed_muls = program.spec_csed_muls;
-  st.strength_reduced = program.spec_strength_reduced;
-  st.peephole_removed = program.spec_peephole_removed;
   return st;
 }
 

@@ -34,11 +34,10 @@ struct Program;  // defined in vm.cc; opaque to callers
 
 // Compiles `func` into bytecode. kVectorized loops are materialized first via
 // VectorizeLoop and execute as SIMD vector opcodes over a vector register file;
-// SpecializeLoops then unrolls/hoists per `spec` (src/lower/unroll.cc), and the
-// bytecode compiler applies strength reduction and the peephole pass. Returns
-// nullptr when the body contains a construct the VM does not support (unknown
-// intrinsics, ...); callers should then fall back to RunLoweredInterp.
-// The one-argument form uses LoopSpecializeOptions::FromEnv().
+// SpecializeLoops then unrolls/hoists per `spec` (src/lower/unroll.cc) before the
+// body compiles to bytecode. Returns nullptr when the body contains a construct the
+// VM does not support (unknown intrinsics, ...); callers should then fall back to
+// RunLoweredInterp. The one-argument form uses the default LoopSpecializeOptions{}.
 std::shared_ptr<const Program> CompileToProgram(const LoweredFunc& func);
 std::shared_ptr<const Program> CompileToProgram(const LoweredFunc& func,
                                                 const LoopSpecializeOptions& spec);
@@ -115,8 +114,6 @@ struct ProgramStats {
   int unrolled_loops = 0;      // IR loops fully unrolled (SpecializeLoops)
   int hoisted_lets = 0;        // invariant LetStmt bindings hoisted (SpecializeLoops)
   int csed_muls = 0;           // recurring loop-var multiplies bound per iteration
-  int strength_reduced = 0;    // loop-var multiplies turned into increments
-  int peephole_removed = 0;    // instructions deleted by the peephole sweep
 };
 ProgramStats GetProgramStats(const Program& program);
 

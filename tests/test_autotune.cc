@@ -179,7 +179,7 @@ TEST(Feature, DistinctConfigsProduceDistinctFeatures) {
 
 // The VM feature block must react to specialization decisions: the same lowered
 // function featurized with specialization on vs off yields different vectors
-// (unroll/hoist/strength-reduction change the opcode mix the model learns from).
+// (unroll/hoist change the opcode mix the model learns from).
 TEST(Feature, VmBlockRespondsToSpecialization) {
   topi::OpWorkload wl{"dense", 4, 1, 1, 1, 16, 16, 1, 0};
   topi::BuiltOp built = topi::BuildOpCompute(wl);
@@ -187,7 +187,7 @@ TEST(Feature, VmBlockRespondsToSpecialization) {
   Schedule s = topi::ApplyOpSchedule(wl, Target::ArmA53(), built,
                                      topi::DefaultConfig(space));
   LoweredFunc f = Lower(s, built.Args(), "dense_feature_probe");
-  LoopSpecializeOptions on;  // defaults: unroll 8, hoist, strength-reduce, peephole
+  LoopSpecializeOptions on;  // defaults: unroll 8, hoist
   std::vector<double> with_spec = ExtractFeaturesVm(f, on);
   std::vector<double> without_spec = ExtractFeaturesVm(f, LoopSpecializeOptions::Disabled());
   ASSERT_EQ(with_spec.size(), static_cast<size_t>(kFullFeatureDim));
@@ -264,10 +264,10 @@ TEST(TuningCache, SaveLoadRoundTripPreservesScheduleChoice) {
 // with a cache version bump if the schema ever changes deliberately.
 TEST(TuningCache, KeyStableAcrossProcesses) {
   topi::OpWorkload wl = DenseWl();
-  LoopSpecializeOptions spec;  // u8, hoist, strength-reduce, peephole
+  LoopSpecializeOptions spec;  // u8, hoist
   std::string key = TuningKey(wl, Target::ArmA53(), spec);
-  EXPECT_EQ(key, "dense_n16_h1_w1_ic1_oc256_k256_s1_p0_float32@arm_cpu@u8_h1_s1_p1");
-  EXPECT_EQ(TuningKeyHash(key), 0xf096fdae7b7dce47ULL);
+  EXPECT_EQ(key, "dense_n16_h1_w1_ic1_oc256_k256_s1_p0_float32@arm_cpu@u8_h1");
+  EXPECT_EQ(TuningKeyHash(key), 0x077114e5f6d3395eULL);
   // The batch dimension is part of the key: batch-N variants tune independently.
   EXPECT_NE(TuningKey(DenseWl(64), Target::ArmA53(), spec), key);
   // So is the specialization config.
@@ -399,7 +399,7 @@ void ExpectBitwiseEqual(const NDArray& a, const NDArray& b, const std::string& w
 
 TEST(TuningCache, CompileConsultsGlobalCache) {
   ScopedCleanGlobalCache clean;
-  graph::CompileOptions opts;  // specialize = FromEnv(), like production compiles
+  graph::CompileOptions opts;  // default specialize, like production compiles
   graph::Graph g = DenseGraph(1);
   graph::GraphExecutor probe(DenseGraph(1), Target::ArmA53(), opts);
   ASSERT_EQ(probe.workloads().size(), 1u);

@@ -35,7 +35,7 @@ TEST(UnrollPass, ExpandsAnnotatedLoops) {
   st->split(st->leaf_iter_vars[0], 4, &o, &i);
   st->unroll(i);
   LoweredFunc f = Lower(s, {A, C}, "u");
-  Stmt unrolled = UnrollLoops(f.body, 8);
+  Stmt unrolled = SpecializeLoops(f.body, LoopSpecializeOptions{});
   // The annotated loop must be gone.
   bool has_unrolled_for = false;
   PostOrderVisitStmt(unrolled, [&](const Stmt& st2) {
@@ -63,7 +63,7 @@ TEST(UnrollPass, LeavesLargeLoopsAlone) {
   Schedule s = create_schedule({C});
   (*s)[C]->unroll((*s)[C]->leaf_iter_vars[0]);
   LoweredFunc f = Lower(s, {A, C}, "u");
-  Stmt out = UnrollLoops(f.body, 16);  // 64 > 16: stays a loop
+  Stmt out = SpecializeLoops(f.body, LoopSpecializeOptions{});  // 64 > 8: stays a loop
   bool has_for = false;
   PostOrderVisitStmt(out, [&](const Stmt& st) { has_for |= st->kind == StmtKind::kFor; });
   EXPECT_TRUE(has_for);

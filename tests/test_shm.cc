@@ -1,20 +1,24 @@
 // Shared-memory transport tests: the slab arena (round-trip, reuse, bad-free
 // rejection), zero-copy request decoding (pointer/offset identity, no bytes
-// moved), forked client processes whose results are bitwise-identical to
+// moved), spawned shm_client processes whose results are bitwise-identical to
 // in-process Submit() under strict mode, ring-full backpressure, client-crash
 // slot reclamation, and fail-point-driven attach/push faults surfacing as
 // typed Status. POSIX-only, like the transport itself.
 #include <gtest/gtest.h>
 
+#include <spawn.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/graph/executor.h"
@@ -410,68 +414,81 @@ TEST(ShmServeTest, UnknownModelIsTypedFault) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-process: forked clients vs in-process Submit, bitwise
+// Multi-process: spawned shm_client processes vs in-process Submit, bitwise
 // ---------------------------------------------------------------------------
 
-// Child process body. Exit codes name the failure for the parent's assert.
-int RunChildClient(const std::string& arena_name, int child_idx) {
-  vm::SetStrictMode(true);
-  serve::Status st;
-  auto client = ShmClient::Connect(arena_name, &st, /*attach_timeout_ms=*/30000);
-  if (client == nullptr) {
-    std::fprintf(stderr, "child %d: attach failed: %s\n", child_idx, st.message.c_str());
-    return 2;
-  }
-  // The arena becomes attachable before RegisterModel publishes the model:
-  // wait for the directory entry like a real client would.
-  serve::ShmModelMeta mm;
-  int64_t publish_deadline = serve::ShmMonotonicMs() + 30000;
-  while (!client->GetModelMeta("chain", &mm)) {
-    if (serve::ShmMonotonicMs() >= publish_deadline) {
-      std::fprintf(stderr, "child %d: model never published\n", child_idx);
-      return 9;
+// Client processes are the operator tool itself (tools/shm_client.cc), started
+// with posix_spawn: a fork of this already-threaded test process could leave the
+// child blocked on a lock some other thread held at fork time. The guard bounds
+// every wait, kills children still running on any exit path, and unlinks the
+// arena even when an assertion returns early.
+class SpawnedClients {
+ public:
+  explicit SpawnedClients(std::string arena_name) : arena_name_(std::move(arena_name)) {}
+  SpawnedClients(const SpawnedClients&) = delete;
+  SpawnedClients& operator=(const SpawnedClients&) = delete;
+  ~SpawnedClients() {
+    for (pid_t pid : pids_) {
+      kill(pid, SIGKILL);
+      waitpid(pid, nullptr, 0);
     }
-    usleep(2000);
+    shm_unlink(arena_name_.c_str());
   }
-  for (int r = 0; r < 3; ++r) {
-    uint64_t seed = 100 + static_cast<uint64_t>(child_idx) * 10 + static_cast<uint64_t>(r);
-    NDArray in = client->AllocTensor({1, 4, 8, 8}, DataType::Float32());
-    if (!in.defined()) return 3;
-    in.CopyFrom(ChainInput(seed));
-    std::vector<NDArray> outs;
-    serve::Status s = client->Call("chain", {{"data", in}}, &outs);
-    if (!s.ok()) {
-      std::fprintf(stderr, "child %d: call failed: %s\n", child_idx, s.message.c_str());
-      return 4;
-    }
-    NDArray expect = SequentialRun(ChainInput(seed));
-    if (outs.size() != 1 || outs[0].NumElements() != expect.NumElements()) return 5;
-    if (std::memcmp(outs[0].Data<char>(), expect.Data<char>(),
-                    static_cast<size_t>(expect.ByteSize())) != 0) {
-      std::fprintf(stderr, "child %d: bitwise mismatch at rep %d\n", child_idx, r);
-      return 6;
-    }
-    if (client->staged_inputs() != 0) return 7;
-  }
-  if (vm::FallbackCount() > 0) return 8;
-  return 0;
-}
 
-TEST(ShmMultiProcessTest, TwoForkedClientsBitwiseEqualInProcess) {
+  // Starts `shm_client --model chain --seed <seed> --repeat 3 --verify` under
+  // strict mode (a VM fallback aborts it). Returns false when spawning fails.
+  bool Spawn(uint64_t seed) {
+    std::vector<std::string> args = {SHM_CLIENT_PATH, "--shm-name", arena_name_,
+                                     "--model",       "chain",      "--seed",
+                                     std::to_string(seed), "--repeat", "3",
+                                     "--verify"};
+    std::vector<std::string> env = {"TVMCPP_VM_STRICT=1"};
+    for (char** e = environ; *e != nullptr; ++e) {
+      if (std::strncmp(*e, "TVMCPP_VM_STRICT=", 17) != 0) {
+        env.emplace_back(*e);
+      }
+    }
+    std::vector<char*> argv, envp;
+    for (std::string& a : args) argv.push_back(a.data());
+    for (std::string& e : env) envp.push_back(e.data());
+    argv.push_back(nullptr);
+    envp.push_back(nullptr);
+    pid_t pid = 0;
+    if (posix_spawn(&pid, SHM_CLIENT_PATH, nullptr, nullptr, argv.data(),
+                    envp.data()) != 0) {
+      return false;
+    }
+    pids_.push_back(pid);
+    return true;
+  }
+
+  // Reaps the oldest child. Returns its wait status, or -1 when it is still
+  // running at `deadline_ms` (ShmMonotonicMs clock) and had to be killed.
+  int Wait(int64_t deadline_ms) {
+    pid_t pid = pids_.front();
+    pids_.erase(pids_.begin());
+    int status = 0;
+    while (waitpid(pid, &status, WNOHANG) == 0) {
+      if (serve::ShmMonotonicMs() >= deadline_ms) {
+        kill(pid, SIGKILL);
+        waitpid(pid, nullptr, 0);
+        return -1;
+      }
+      usleep(10000);
+    }
+    return status;
+  }
+
+  size_t running() const { return pids_.size(); }
+
+ private:
+  std::string arena_name_;
+  std::vector<pid_t> pids_;
+};
+
+TEST(ShmMultiProcessTest, TwoSpawnedClientsBitwiseEqualInProcess) {
   const std::string name = UniqueShmName("mp");
-  // Fork BEFORE any server threads exist in this test: forking a process with
-  // live threads is where fork bugs live. Children retry-attach until the
-  // parent's transport has created and initialized the arena.
-  std::vector<pid_t> kids;
-  for (int c = 0; c < 2; ++c) {
-    pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      _exit(RunChildClient(name, c));
-    }
-    kids.push_back(pid);
-  }
-
+  SpawnedClients clients(name);
   ScopedStrictMode strict;
   vm::ResetFallbackCount();
   serve::InferenceServer server(QuietServerOptions());
@@ -479,8 +496,13 @@ TEST(ShmMultiProcessTest, TwoForkedClientsBitwiseEqualInProcess) {
   auto model = MakeChainModel();
   transport.RegisterModel("chain", model);
 
+  // Each client checks its 3 results against a locally recomputed oracle
+  // (--verify) and exits non-zero on a mismatch, a failed call or a staged input.
+  ASSERT_TRUE(clients.Spawn(100));
+  ASSERT_TRUE(clients.Spawn(110));
+
   // In-process oracle through the same server object, interleaved with the
-  // children's shm traffic.
+  // clients' shm traffic.
   for (uint64_t seed = 100; seed < 106; ++seed) {
     serve::InferenceRequest req;
     req.inputs["data"] = ChainInput(seed);
@@ -493,15 +515,16 @@ TEST(ShmMultiProcessTest, TwoForkedClientsBitwiseEqualInProcess) {
         << "in-process Submit differs from oracle at seed " << seed;
   }
 
-  for (pid_t pid : kids) {
-    int status = 0;
-    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  const int64_t deadline = serve::ShmMonotonicMs() + 120000;
+  while (clients.running() > 0) {
+    int status = clients.Wait(deadline);
+    ASSERT_NE(status, -1) << "shm_client still running after 120 s; killed";
     ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0) << "forked client failed (see exit-code map)";
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "shm_client failed (see its output above)";
   }
 
   ShmTransport::Stats ts = transport.stats();
-  EXPECT_GE(ts.received, 6) << "2 children x 3 calls must all arrive via the ring";
+  EXPECT_GE(ts.received, 6) << "2 clients x 3 calls must all arrive via the ring";
   EXPECT_EQ(ts.bad_descriptors, 0);
   EXPECT_EQ(ts.completed, ts.received);
   EXPECT_EQ(vm::FallbackCount(), 0);

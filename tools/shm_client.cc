@@ -10,8 +10,10 @@
 //
 // The built-in models are deterministic (weights derived from fixed seeds), so
 // --verify can recompute the expected result locally in the client process and
-// check the bytes that crossed the arena bitwise. See docs/DEPLOYMENT.md for a
-// copy-pasteable walkthrough.
+// check the bytes that crossed the arena bitwise. --verify also fails the run
+// when any input had to be staged (copied from the heap into the arena) instead
+// of travelling zero-copy. See docs/DEPLOYMENT.md for a copy-pasteable
+// walkthrough.
 #include <unistd.h>
 
 #include <csignal>
@@ -201,6 +203,7 @@ int RunClient(const std::string& shm_name, const std::string& model, uint64_t se
   if (client->staged_inputs() != 0) {
     std::printf("note: %lld inputs were staged (heap->arena copies)\n",
                 static_cast<long long>(client->staged_inputs()));
+    if (verify) ++failures;
   }
   return failures == 0 ? 0 : 1;
 }

@@ -3,7 +3,7 @@
 #
 # Runs, against an existing build directory:
 #   1. test_shm under TVMCPP_VM_STRICT=1 — the full shm suite, including the
-#      fork-two-clients bitwise test and crash-reclamation tests. In CI this
+#      two-spawned-clients bitwise test and crash-reclamation tests. In CI this
 #      runs on the ASan/UBSan build, so cross-process protocol bugs that
 #      corrupt memory fail loudly here.
 #   2. An operator-flow smoke with the shipped shm_client binary: a background
