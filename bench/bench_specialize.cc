@@ -1,10 +1,10 @@
 // Loop-specialization sweep: specialized vs unspecialized VM on the workloads the
 // pass pipeline targets (ISSUE 5 / ROADMAP "JIT-style loop specialization").
 //
-//   * conv2d 3x3 — the small fixed-extent inner reduction (ky/kx extent 3) that full
-//     unrolling + constant folding collapses, plus invariant hoisting on the
-//     surviving input-channel loop.
-//   * scalar dense — invariant row offsets hoisted out of the k loop.
+//   * conv2d 3x3 — the register tile's ow loop and the kx taps (extent 3) that full
+//     unrolling + constant folding collapse, plus invariant hoisting on the
+//     surviving ky and input-channel loops.
+//   * scalar dense — the CPU dense template's index arithmetic, unvectorized.
 //   * batched dense chain (the bench_serving dispatch-bound model, rebatched) — the
 //     per-element batch-offset adds introduced by RebatchGraph hoist to once per
 //     row, exercising the CompileOptions::specialize inheritance path.
@@ -73,8 +73,8 @@ struct BuiltKernel {
   }
 };
 
-// conv2d with a 3x3 window: the inner reduction loops (ky, kx, extent 3) sit well
-// under the unroll threshold.
+// conv2d with a 3x3 window: the ow tile inside the kx taps (extent 3) sits under
+// the unroll threshold.
 BuiltKernel BuildConv3x3() {
   bool smoke = bench::BenchSmokeMode();
   topi::OpWorkload wl;
@@ -108,8 +108,8 @@ BuiltKernel BuildConv3x3() {
   return k;
 }
 
-// Scalar dense: no vectorization, so the k loop's invariant row offsets are the
-// whole index-arithmetic story.
+// Scalar dense through the production CPU template (k outside the yi/xi tile), with
+// no vectorization, so index arithmetic is the whole story.
 BuiltKernel BuildScalarDense() {
   bool smoke = bench::BenchSmokeMode();
   topi::OpWorkload wl;
@@ -131,6 +131,26 @@ BuiltKernel BuildScalarDense() {
   return k;
 }
 
+// Per variant: the median of `repeats` timed runs with their min and max, the
+// speedup of the medians, and the host the row was measured on.
+std::vector<std::pair<std::string, double>> TimingFields(const bench::TimingStats& base,
+                                                         const bench::TimingStats& spec,
+                                                         int repeats) {
+  return {{"repeats", static_cast<double>(repeats)},
+          {"base_vm_ms", base.median_ms},
+          {"base_vm_min_ms", base.min_ms},
+          {"base_vm_max_ms", base.max_ms},
+          {"spec_vm_ms", spec.median_ms},
+          {"spec_vm_min_ms", spec.min_ms},
+          {"spec_vm_max_ms", spec.max_ms},
+          {"spec_speedup", base.median_ms / spec.median_ms},
+          {"host_cores", static_cast<double>(bench::HostCores())}};
+}
+
+std::vector<std::pair<std::string, std::string>> HostFields() {
+  return {{"cpu", bench::HostCpu()}};
+}
+
 void BenchKernelSpecialize(const std::string& name, BuiltKernel k, int repeats) {
   std::vector<BufferBinding> bind = k.Bindings();
   std::shared_ptr<const vm::Program> base =
@@ -143,19 +163,19 @@ void BenchKernelSpecialize(const std::string& name, BuiltKernel k, int repeats) 
   }
   vm::ExecOptions serial;
   serial.num_threads = 1;
-  double base_ms = bench::MeasureMs([&] { vm::Run(*base, bind, serial); }, repeats);
-  double spec_ms = bench::MeasureMs([&] { vm::Run(*spec, bind, serial); }, repeats);
+  bench::TimingStats base_ms =
+      bench::MeasureStatsMs([&] { vm::Run(*base, bind, serial); }, repeats);
+  bench::TimingStats spec_ms =
+      bench::MeasureStatsMs([&] { vm::Run(*spec, bind, serial); }, repeats);
   vm::ProgramStats bs = vm::GetProgramStats(*base);
   vm::ProgramStats ss = vm::GetProgramStats(*spec);
-  bench::PrintBenchJson(
-      "specialize_" + name,
-      {{"base_vm_ms", base_ms},
-       {"spec_vm_ms", spec_ms},
-       {"spec_speedup", base_ms / spec_ms},
-       {"instr_base", static_cast<double>(bs.num_instructions)},
-       {"instr_spec", static_cast<double>(ss.num_instructions)},
-       {"unrolled_loops", static_cast<double>(ss.unrolled_loops)},
-       {"hoisted_lets", static_cast<double>(ss.hoisted_lets)}});
+  std::vector<std::pair<std::string, double>> fields = TimingFields(base_ms, spec_ms, repeats);
+  fields.insert(fields.end(),
+                {{"instr_base", static_cast<double>(bs.num_instructions)},
+                 {"instr_spec", static_cast<double>(ss.num_instructions)},
+                 {"unrolled_loops", static_cast<double>(ss.unrolled_loops)},
+                 {"hoisted_lets", static_cast<double>(ss.hoisted_lets)}});
+  bench::PrintBenchJson("specialize_" + name, fields, HostFields());
 }
 
 // The bench_serving dispatch-bound dense chain, compiled with and without loop
@@ -200,14 +220,13 @@ void BenchBatchedDenseChain(int repeats) {
       model->Run(&ctx, serial);
     }
   };
-  double base_ms = bench::MeasureMs([&] { run_many(base); }, repeats);
-  double spec_ms = bench::MeasureMs([&] { run_many(spec); }, repeats);
-  bench::PrintBenchJson("specialize_batched_dense_chain",
-                        {{"batch", batch},
-                         {"iters", static_cast<double>(iters)},
-                         {"base_vm_ms", base_ms},
-                         {"spec_vm_ms", spec_ms},
-                         {"spec_speedup", base_ms / spec_ms}});
+  bench::TimingStats base_ms = bench::MeasureStatsMs([&] { run_many(base); }, repeats);
+  bench::TimingStats spec_ms = bench::MeasureStatsMs([&] { run_many(spec); }, repeats);
+  std::vector<std::pair<std::string, double>> fields = {
+      {"batch", batch}, {"iters", static_cast<double>(iters)}};
+  std::vector<std::pair<std::string, double>> timing = TimingFields(base_ms, spec_ms, repeats);
+  fields.insert(fields.end(), timing.begin(), timing.end());
+  bench::PrintBenchJson("specialize_batched_dense_chain", fields, HostFields());
 }
 
 }  // namespace
@@ -217,7 +236,8 @@ int main() {
   using namespace tvmcpp;
   bench::OpenDefaultBenchJsonSink(TVMCPP_SOURCE_DIR "/BENCH_vm.json");
   std::printf("loop specialization: specialized vs unspecialized VM (wall clock)\n\n");
-  const int repeats = bench::BenchSmokeMode() ? 2 : 5;
+  // Median of 9 (one run's 5-repeat mean spread about +-40% across runs).
+  const int repeats = bench::BenchSmokeMode() ? 3 : 9;
   BenchKernelSpecialize("conv2d_3x3", BuildConv3x3(), repeats);
   BenchKernelSpecialize("dense_scalar", BuildScalarDense(), repeats);
   BenchBatchedDenseChain(repeats);

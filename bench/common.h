@@ -2,10 +2,13 @@
 #ifndef BENCH_COMMON_H_
 #define BENCH_COMMON_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -45,6 +48,50 @@ double MeasureMs(F&& fn, int repeats = 3, int warmup = 1) {
     fn();
   }
   return timer.Ms() / repeats;
+}
+
+// Median, min and max wall-clock milliseconds of `fn` over `repeats` timed runs
+// after `warmup` untimed ones. A single mean hides a noisy host; the median with
+// its range does not.
+struct TimingStats {
+  double median_ms = 0;
+  double min_ms = 0;
+  double max_ms = 0;
+};
+
+template <typename F>
+TimingStats MeasureStatsMs(F&& fn, int repeats, int warmup = 1) {
+  for (int i = 0; i < warmup; ++i) {
+    fn();
+  }
+  std::vector<double> ms;
+  for (int i = 0; i < repeats; ++i) {
+    WallTimer timer;
+    fn();
+    ms.push_back(timer.Ms());
+  }
+  std::sort(ms.begin(), ms.end());
+  size_t mid = ms.size() / 2;
+  TimingStats st;
+  st.median_ms = ms.size() % 2 == 1 ? ms[mid] : 0.5 * (ms[mid - 1] + ms[mid]);
+  st.min_ms = ms.front();
+  st.max_ms = ms.back();
+  return st;
+}
+
+// The host a row was measured on: logical core count and CPU model name.
+inline int HostCores() { return static_cast<int>(std::thread::hardware_concurrency()); }
+
+inline std::string HostCpu() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      size_t start = line.find_first_not_of(" \t", line.find(':') + 1);
+      return start == std::string::npos ? "unknown" : line.substr(start);
+    }
+  }
+  return "unknown";
 }
 
 // Reduced-size bench mode for the CI smoke gate: benches that honor it shrink
@@ -170,15 +217,20 @@ inline void OpenDefaultBenchJsonSink(const std::string& default_path) {
 
 // Prints one machine-readable result line, e.g.
 //   {"bench": "vm_speedup_conv2d", "interp_ms": 41.2, "vm_ms": 5.1, "speedup": 8.1}
-// to stdout and, when a sink is open, upserts it by bench name into the BENCH_*.json
+// to stdout (`text_fields` are appended as JSON strings) and, when a sink is open, upserts it by bench name into the BENCH_*.json
 // trajectory file (rewritten and flushed per line, so partial runs still land).
 inline void PrintBenchJson(const std::string& bench,
-                           const std::vector<std::pair<std::string, double>>& fields) {
+                           const std::vector<std::pair<std::string, double>>& fields,
+                           const std::vector<std::pair<std::string, std::string>>&
+                               text_fields = {}) {
   std::string line = "{\"bench\": \"" + bench + "\"";
   char buf[64];
   for (const auto& kv : fields) {
     std::snprintf(buf, sizeof(buf), "%.6g", kv.second);
     line += ", \"" + kv.first + "\": " + buf;
+  }
+  for (const auto& kv : text_fields) {
+    line += ", \"" + kv.first + "\": \"" + kv.second + "\"";
   }
   line += "}";
   std::printf("%s\n", line.c_str());

@@ -214,6 +214,24 @@ LoweredFunc BuildConvRelu3x3(DataType dtype, std::vector<Tensor>* tensors,
   return Lower(s, {data, kern, out}, name);
 }
 
+// A topi CPU template at its default config (serial), either alone or as the
+// master of a fused relu epilogue.
+LoweredFunc BuildCpuTemplate(const topi::OpWorkload& wl, bool fuse_relu,
+                             std::vector<Tensor>* tensors, const std::string& name) {
+  topi::BuiltOp built = topi::BuildOpCompute(wl);
+  Target cpu = Target::ArmA53();
+  topi::Config config = topi::DefaultConfig(topi::GetScheduleSpace(wl, cpu));
+  config["parallel"] = 0;
+  if (!fuse_relu) {
+    *tensors = built.Args();
+    return Lower(topi::ApplyOpSchedule(wl, cpu, built, config), *tensors, name);
+  }
+  Tensor out = topi::Relu(built.output);
+  Schedule s = topi::ScheduleFusedGroup(cpu, {out}, built.output, config, &wl);
+  *tensors = {built.inputs[0], built.inputs[1], out};
+  return Lower(s, *tensors, name);
+}
+
 // ---------------------------------------------------------------------------
 // Kernel-level differential suites
 // ---------------------------------------------------------------------------
@@ -268,6 +286,30 @@ TEST(CodegenDiff, ConvRelu3x3I8) {
   std::vector<Tensor> t;
   LoweredFunc f = BuildConvRelu3x3(DataType::Int8(), &t, "cg_conv_i8");
   ExpectThreeTierIdentical(f, MakeArgs(t, 31));
+}
+
+// The register-tiled CPU templates (reduce loops outside the ow tile) on the
+// paths the zoo uses: DCGAN's stride-2 conv2d_transpose, MobileNet's depthwise,
+// and an unfused conv2d whose vectorized ow tile sits inside the reduction.
+TEST(CodegenDiff, Conv2dTransposeReluF32) {
+  std::vector<Tensor> t;
+  LoweredFunc f = BuildCpuTemplate({"conv2d_transpose", 1, 4, 4, 6, 4, 4, 2, 1},
+                                   /*fuse_relu=*/true, &t, "cg_convt_relu_f32");
+  ExpectThreeTierIdentical(f, MakeArgs(t, 37));
+}
+
+TEST(CodegenDiff, DepthwiseReluF32) {
+  std::vector<Tensor> t;
+  LoweredFunc f = BuildCpuTemplate({"depthwise_conv2d", 1, 9, 9, 8, 8, 3, 2, 1},
+                                   /*fuse_relu=*/true, &t, "cg_dw_relu_f32");
+  ExpectThreeTierIdentical(f, MakeArgs(t, 41));
+}
+
+TEST(CodegenDiff, Conv2dUnfusedF32) {
+  std::vector<Tensor> t;
+  LoweredFunc f = BuildCpuTemplate({"conv2d", 1, 10, 10, 4, 8, 3, 1, 1},
+                                   /*fuse_relu=*/false, &t, "cg_conv_unfused_f32");
+  ExpectThreeTierIdentical(f, MakeArgs(t, 43));
 }
 
 TEST(CodegenDiff, VectorizedPredicatedTail) {

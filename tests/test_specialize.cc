@@ -131,21 +131,25 @@ vm::ProgramStats ExpectSpecializedIdentical(const LoweredFunc& f,
   return vm::GetProgramStats(*opt);
 }
 
+// Dense with an explicit schedule that keeps k innermost (yo, xo, yi, xi, k): the
+// row offsets are then invariant in the k loop, which is what the hoisting tests
+// below pin. The topi CPU template runs k outside the x tile instead.
 LoweredFunc BuildDense(DataType dtype, int vectorize, std::vector<Tensor>* tensors) {
-  topi::OpWorkload wl;
-  wl.kind = "dense";
-  wl.n = 5;
-  wl.k = 32;
-  wl.oc = 24;
-  wl.dtype = dtype;
-  topi::BuiltOp built = topi::BuildOpCompute(wl);
-  Target cpu = Target::ArmA53();
-  topi::Config config = topi::DefaultConfig(topi::GetScheduleSpace(wl, cpu));
-  config["parallel"] = 0;
-  config["vectorize"] = vectorize;
-  Schedule s = topi::ApplyOpSchedule(wl, cpu, built, config);
-  *tensors = built.Args();
-  return Lower(s, built.Args(), "dense_spec");
+  Tensor data = placeholder({make_int(5), make_int(32)}, dtype, "data");
+  Tensor weight = placeholder({make_int(24), make_int(32)}, dtype, "weight");
+  Tensor out = topi::Dense(data, weight);
+  Schedule s = create_schedule({out});
+  Stage so = (*s)[out];
+  IterVar y = so->leaf_iter_vars[0], x = so->leaf_iter_vars[1], k = so->leaf_iter_vars[2];
+  IterVar yo, yi, xo, xi;
+  so->split(y, 5, &yo, &yi);
+  so->split(x, 8, &xo, &xi);
+  so->reorder({yo, xo, yi, xi, k});
+  if (vectorize != 0) {
+    so->vectorize(xi);
+  }
+  *tensors = {data, weight, out};
+  return Lower(s, *tensors, "dense_spec");
 }
 
 LoweredFunc BuildConvRelu3x3(DataType dtype, std::vector<Tensor>* tensors) {
@@ -222,7 +226,7 @@ TEST(SpecializeDiff, ConvRelu3x3F32) {
   std::vector<Tensor> t;
   LoweredFunc f = BuildConvRelu3x3(DataType::Float32(), &t);
   vm::ProgramStats st = ExpectSpecializedIdentical(f, MakeArgs(t, 17));
-  // The 3x3 window (and the schedule's small tile loops) must fully unroll.
+  // The register tile's ow loop and the rx taps must fully unroll.
   EXPECT_GT(st.unrolled_loops, 0) << "unrolling did not fire on conv2d 3x3";
   EXPECT_GT(st.hoisted_lets, 0);
 }

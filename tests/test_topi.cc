@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/interp/interp.h"
+#include "src/ir/functor.h"
 #include "src/ir/simplify.h"
 #include "src/lower/lower.h"
 #include "src/runtime/ndarray.h"
 #include "src/runtime/target.h"
+#include "src/topi/nn.h"
 #include "src/topi/schedules.h"
 
 namespace tvmcpp {
@@ -79,6 +83,42 @@ std::vector<float> RefDepthwise(const std::vector<float>& data,
   return out;
 }
 
+// Naive conv2d_transpose reference: output (y, x) gathers input (iy, ix) through tap
+// (dy, dx) when y + pad - dy == iy * stride (and likewise for x).
+std::vector<float> RefConv2dTranspose(const std::vector<float>& data,
+                                      const std::vector<float>& kernel, int n, int ic, int h,
+                                      int w, int oc, int k, int stride, int pad) {
+  int oh = (h - 1) * stride + k - 2 * pad;
+  int ow = (w - 1) * stride + k - 2 * pad;
+  std::vector<float> out(static_cast<size_t>(n * oc * oh * ow), 0.0f);
+  for (int b = 0; b < n; ++b) {
+    for (int f = 0; f < oc; ++f) {
+      for (int y = 0; y < oh; ++y) {
+        for (int x = 0; x < ow; ++x) {
+          float acc = 0;
+          for (int c = 0; c < ic; ++c) {
+            for (int dy = 0; dy < k; ++dy) {
+              for (int dx = 0; dx < k; ++dx) {
+                int hy = y + pad - dy;
+                int wx = x + pad - dx;
+                if (hy < 0 || wx < 0 || hy % stride != 0 || wx % stride != 0 ||
+                    hy / stride >= h || wx / stride >= w) {
+                  continue;
+                }
+                acc += data[static_cast<size_t>(((b * ic + c) * h + hy / stride) * w +
+                                                wx / stride)] *
+                       kernel[static_cast<size_t>(((c * oc + f) * k + dy) * k + dx)];
+              }
+            }
+          }
+          out[static_cast<size_t>(((b * oc + f) * oh + y) * ow + x)] = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
 void RunWorkload(const OpWorkload& wl, const Target& target, const Config& config,
                  double tol = 2e-2) {
   BuiltOp built = BuildOpCompute(wl);
@@ -108,6 +148,9 @@ void RunWorkload(const OpWorkload& wl, const Target& target, const Config& confi
     ref = RefConv2d(dvec, kvec, wl.n, wl.ic, wl.h, wl.w, wl.oc, wl.k, wl.stride, wl.pad);
   } else if (wl.kind == "depthwise_conv2d") {
     ref = RefDepthwise(dvec, kvec, wl.n, wl.ic, wl.h, wl.w, wl.k, wl.stride, wl.pad);
+  } else if (wl.kind == "conv2d_transpose") {
+    ref = RefConv2dTranspose(dvec, kvec, wl.n, wl.ic, wl.h, wl.w, wl.oc, wl.k, wl.stride,
+                             wl.pad);
   } else if (wl.kind == "dense") {
     ref.assign(static_cast<size_t>(wl.n * wl.oc), 0.0f);
     for (int y = 0; y < wl.n; ++y) {
@@ -121,6 +164,7 @@ void RunWorkload(const OpWorkload& wl, const Target& target, const Config& confi
       }
     }
   }
+  ASSERT_EQ(ref.size(), static_cast<size_t>(out.NumElements())) << wl.Key();
   const float* got = out.Data<float>();
   for (size_t i = 0; i < ref.size(); ++i) {
     ASSERT_NEAR(got[i], ref[i], tol) << wl.Key() << " elem " << i;
@@ -163,16 +207,19 @@ TEST(Topi, DenseCpuGpu) {
   RunWorkload(wl, Target::TitanX(), DefaultConfig(GetScheduleSpace(wl, Target::TitanX())));
 }
 
-// Property sweep: every config in the space must be semantics-preserving.
+// Property sweep: every config in the space must be semantics-preserving. Each
+// sweep instance runs one of `points` configs spread evenly over the space.
+void RunSweepPoint(const OpWorkload& wl, const Target& t, int param, int points) {
+  ConfigSpace space = GetScheduleSpace(wl, t);
+  int64_t step = std::max<int64_t>(1, space.size() / points);
+  int64_t index = (param * step) % space.size();
+  RunWorkload(wl, t, space.At(index));
+}
+
 class ConvConfigSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(ConvConfigSweep, AllConfigsCorrectGpu) {
-  OpWorkload wl{"conv2d", 1, 6, 6, 4, 8, 3, 1, 1};
-  Target t = Target::TitanX();
-  ConfigSpace space = GetScheduleSpace(wl, t);
-  int64_t step = std::max<int64_t>(1, space.size() / 24);
-  int64_t index = (GetParam() * step) % space.size();
-  RunWorkload(wl, t, space.At(index));
+  RunSweepPoint({"conv2d", 1, 6, 6, 4, 8, 3, 1, 1}, Target::TitanX(), GetParam(), 24);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ConvConfigSweep, ::testing::Range(0, 24));
@@ -180,28 +227,115 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ConvConfigSweep, ::testing::Range(0, 24));
 class ConvConfigSweepCpu : public ::testing::TestWithParam<int> {};
 
 TEST_P(ConvConfigSweepCpu, AllConfigsCorrectCpu) {
-  OpWorkload wl{"conv2d", 1, 6, 6, 4, 8, 3, 1, 1};
-  Target t = Target::ArmA53();
-  ConfigSpace space = GetScheduleSpace(wl, t);
-  int64_t step = std::max<int64_t>(1, space.size() / 16);
-  int64_t index = (GetParam() * step) % space.size();
-  RunWorkload(wl, t, space.At(index));
+  RunSweepPoint({"conv2d", 1, 6, 6, 4, 8, 3, 1, 1}, Target::ArmA53(), GetParam(), 16);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ConvConfigSweepCpu, ::testing::Range(0, 16));
 
+class DepthwiseConfigSweepCpu : public ::testing::TestWithParam<int> {};
+
+TEST_P(DepthwiseConfigSweepCpu, AllConfigsCorrectCpu) {
+  RunSweepPoint({"depthwise_conv2d", 1, 7, 6, 6, 6, 3, 2, 1}, Target::ArmA53(), GetParam(),
+                16);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, DepthwiseConfigSweepCpu, ::testing::Range(0, 16));
+
+class Conv2dTransposeConfigSweepCpu : public ::testing::TestWithParam<int> {};
+
+TEST_P(Conv2dTransposeConfigSweepCpu, AllConfigsCorrectCpu) {
+  // Stride 2 exercises the alignment guard; the output is 6x8x8.
+  RunSweepPoint({"conv2d_transpose", 1, 4, 4, 5, 6, 4, 2, 1}, Target::ArmA53(), GetParam(),
+                16);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, Conv2dTransposeConfigSweepCpu, ::testing::Range(0, 16));
+
 class DenseConfigSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(DenseConfigSweep, AllConfigsCorrectGpu) {
-  OpWorkload wl{"dense", 32, 1, 1, 1, 32, 32, 1, 0};
-  Target t = Target::TitanX();
-  ConfigSpace space = GetScheduleSpace(wl, t);
-  int64_t step = std::max<int64_t>(1, space.size() / 16);
-  int64_t index = (GetParam() * step) % space.size();
-  RunWorkload(wl, t, space.At(index));
+  RunSweepPoint({"dense", 32, 1, 1, 1, 32, 32, 1, 0}, Target::TitanX(), GetParam(), 16);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DenseConfigSweep, ::testing::Range(0, 16));
+
+class DenseConfigSweepCpu : public ::testing::TestWithParam<int> {};
+
+TEST_P(DenseConfigSweepCpu, AllConfigsCorrectCpu) {
+  RunSweepPoint({"dense", 6, 1, 1, 1, 24, 20, 1, 0}, Target::ArmA53(), GetParam(), 16);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, DenseConfigSweepCpu, ::testing::Range(0, 16));
+
+// Records, for every store made inside a loop over one of `reduce_names`, the
+// name of its innermost enclosing loop.
+class InnermostLoopOfUpdates : public StmtVisitor {
+ public:
+  explicit InnermostLoopOfUpdates(std::unordered_set<std::string> reduce_names)
+      : reduce_names_(std::move(reduce_names)) {}
+
+  std::vector<std::string> innermost;
+
+  void VisitFor(const ForNode* op) override {
+    loops_.push_back(op->loop_var->name);
+    StmtVisitor::VisitFor(op);
+    loops_.pop_back();
+  }
+
+  void VisitStore(const StoreNode* op) override {
+    for (const std::string& l : loops_) {
+      if (reduce_names_.count(l)) {
+        innermost.push_back(loops_.back());
+        break;
+      }
+    }
+    StmtVisitor::VisitStore(op);
+  }
+
+ private:
+  std::unordered_set<std::string> reduce_names_;
+  std::vector<std::string> loops_;
+};
+
+// The CPU register tile: the reduce loops of conv2d, depthwise, conv2d_transpose and
+// dense must enclose the innermost spatial tile (ow, or the dense x tile), fused and
+// unfused, so each tile iteration is an independent accumulator.
+TEST(RegisterTile, ReduceLoopsEncloseTheSpatialTile) {
+  Target t = Target::ArmA53();
+  const std::vector<OpWorkload> workloads = {
+      {"conv2d", 1, 8, 8, 4, 8, 3, 1, 1},
+      {"depthwise_conv2d", 1, 8, 8, 8, 8, 3, 1, 1},
+      {"conv2d_transpose", 1, 4, 4, 4, 8, 4, 2, 1},
+      {"dense", 4, 1, 1, 1, 16, 8, 1, 0},
+  };
+  for (const OpWorkload& wl : workloads) {
+    for (bool fused : {false, true}) {
+      BuiltOp built = BuildOpCompute(wl);
+      Config cfg = DefaultConfig(GetScheduleSpace(wl, t));
+      const auto* cop = static_cast<const ComputeOpNode*>(built.output.op().get());
+      std::unordered_set<std::string> reduce_names;
+      for (const IterVar& rv : cop->reduce_axis) {
+        reduce_names.insert(rv->var->name);
+      }
+      LoweredFunc f;
+      if (fused) {
+        Tensor out = Relu(built.output);
+        f = Lower(ScheduleFusedGroup(t, {out}, built.output, cfg, &wl),
+                  {built.inputs[0], built.inputs[1], out}, "fused");
+      } else {
+        f = Lower(ApplyOpSchedule(wl, t, built, cfg), built.Args(), "unfused");
+      }
+      InnermostLoopOfUpdates v(reduce_names);
+      v.VisitStmt(f.body);
+      ASSERT_FALSE(v.innermost.empty()) << wl.kind << " fused=" << fused;
+      for (const std::string& loop : v.innermost) {
+        EXPECT_EQ(reduce_names.count(loop), 0u)
+            << wl.kind << " fused=" << fused << ": reduction update sits directly in "
+            << loop << ", inside the spatial tile";
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace topi

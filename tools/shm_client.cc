@@ -10,7 +10,8 @@
 //
 // The built-in models are deterministic (weights derived from fixed seeds), so
 // --verify can recompute the expected result locally in the client process and
-// check the bytes that crossed the arena bitwise. --verify also fails the run
+// check the bytes that crossed the arena bitwise. Only the chain model has such
+// an oracle: --verify with any other model is rejected (exit 2). --verify also fails the run
 // when any input had to be staged (copied from the heap into the arena) instead
 // of travelling zero-copy. See docs/DEPLOYMENT.md for a copy-pasteable
 // walkthrough.
@@ -190,7 +191,7 @@ int RunClient(const std::string& shm_name, const std::string& model, uint64_t se
                 r, static_cast<unsigned long long>(s), static_cast<long long>(ms),
                 meta.queue_ms, meta.run_ms, meta.batch_size, meta.retries,
                 static_cast<unsigned long long>(Checksum(outs[0])));
-    if (verify && model == "chain") {
+    if (verify) {
       NDArray expect = OracleRun(ChainInput(s));
       bool same = outs[0].ByteSize() == expect.ByteSize() &&
                   std::memcmp(outs[0].Data<char>(), expect.Data<char>(),
@@ -253,6 +254,12 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (model.empty()) return Usage();
+  if (verify && model != "chain") {
+    // Only the chain demo has a local oracle; a silent unverified run would read
+    // as a verified one.
+    std::fprintf(stderr, "--verify supports only --model chain, not '%s'\n", model.c_str());
+    return 2;
+  }
   return RunClient(shm_name, model, seed, repeat, priority, deadline_ms, timeout_ms,
                    verify);
 }

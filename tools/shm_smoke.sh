@@ -8,7 +8,8 @@
 #      corrupt memory fail loudly here.
 #   2. An operator-flow smoke with the shipped shm_client binary: a background
 #      --serve process, then a client --verify run against it (the same
-#      commands docs/DEPLOYMENT.md walks an operator through).
+#      commands docs/DEPLOYMENT.md walks an operator through), and a check
+#      that --verify with a model other than chain is refused with exit 2.
 #   3. bench_shm in smoke mode to a scratch JSON, checking that the
 #      serve_shm_2proc row was produced with zero copied outputs.
 #
@@ -53,6 +54,12 @@ fi
 kill "$server_pid" 2>/dev/null
 wait "$server_pid" 2>/dev/null
 server_pid=""
+# --verify has an oracle only for chain; any other model must be refused.
+"$build_dir/shm_client" --model dqn --shm-name "$arena" --verify
+if [ $? -ne 2 ]; then
+  echo "SHM_SMOKE_FAIL: shm_client --verify with a non-chain model did not exit 2"
+  exit 1
+fi
 
 echo "shm_smoke: [3/3] bench_shm (smoke mode)"
 if ! TVMCPP_BENCH_SMOKE=1 TVMCPP_BENCH_JSON=/tmp/shm_smoke_bench.json \
