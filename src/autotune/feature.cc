@@ -134,7 +134,7 @@ std::vector<double> ExtractFeaturesVm(const LoweredFunc& func,
   f[i++] = Log2p1(static_cast<double>(ps.stores));
   f[i++] = Log2p1(static_cast<double>(ps.unrolled_loops));
   f[i++] = Log2p1(static_cast<double>(ps.hoisted_lets));
-  f[i++] = Log2p1(static_cast<double>(ps.csed_muls));
+  f[i++] = Log2p1(static_cast<double>(ps.csed_exprs));
   f[i++] = vm::ProgramHasParallel(*program) ? 1.0 : 0.0;
   f[i++] = vm::ProgramHasVector(*program) ? 1.0 : 0.0;
   // Branch density: straight-line (unrolled) code scores near zero.

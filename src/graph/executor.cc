@@ -2,17 +2,34 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "src/autotune/cache.h"
+#include "src/interp/interp.h"
 #include "src/sim/machine.h"
 #include "src/support/failpoint.h"
 
 namespace tvmcpp {
 namespace graph {
+
+namespace {
+
+bool Overlaps(const BufferBinding& a, const BufferBinding& b) {
+  if (a.data == nullptr || b.data == nullptr) {
+    return false;
+  }
+  const auto a0 = reinterpret_cast<uintptr_t>(a.data);
+  const auto b0 = reinterpret_cast<uintptr_t>(b.data);
+  const auto a1 = a0 + static_cast<uintptr_t>(a.num_elements * InterpElementBytes(a.dtype));
+  const auto b1 = b0 + static_cast<uintptr_t>(b.num_elements * InterpElementBytes(b.dtype));
+  return a0 < b1 && b0 < a1;
+}
+
+}  // namespace
 
 CompiledGraph::CompiledGraph(Graph g, Target target, CompileOptions options)
     : graph_(std::move(g)), target_(std::move(target)), options_(options) {
@@ -300,6 +317,13 @@ void CompiledGraph::Run(RunContext* ctx, const vm::ExecOptions& exec) const {
       bindings.push_back(buffer_of(id).Binding());
     }
     bindings.push_back(buffer_of(k.output_node).Binding());
+    for (size_t i = 0; i + 1 < bindings.size(); ++i) {
+      if (Overlaps(bindings[i], bindings.back())) {
+        throw AliasedBufferError("kernel " + k.name + ": output " +
+                                 graph_.node(k.output_node).name + " overlaps input " +
+                                 graph_.node(k.input_nodes[i]).name);
+      }
+    }
     if (exec.force_interp) {
       // Explicit down-tier (the serving layer's fault-fallback ladder): run the
       // reference interpreter deliberately. Not a silent downgrade, so it is not

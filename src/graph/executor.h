@@ -58,6 +58,18 @@ struct CompileOptions {
 
 class CompiledGraph;
 
+// Thrown by CompiledGraph::Run when a kernel's output buffer overlaps one of its
+// input buffers, e.g. an output bound with RunContext::BindOutput onto an input's
+// storage. Kernels are not in-place: a conv output element reads a neighbourhood of
+// its input, and loop specialization (src/lower/unroll.cc) reads an input once
+// ahead of a loop that stores the output. Such a run would compute wrong values,
+// so it stops before the kernel instead; the serving layer reports it as
+// kExecutionFailed. PlanMemory never produces this aliasing on its own.
+class AliasedBufferError : public std::runtime_error {
+ public:
+  explicit AliasedBufferError(const std::string& what) : std::runtime_error(what) {}
+};
+
 // Thrown by CompiledGraph::Run when vm::ExecOptions::deadline passes between kernel
 // invocations: a request popped just before its deadline stops after the current
 // kernel instead of running the remaining graph to completion. The serving layer

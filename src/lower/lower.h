@@ -49,14 +49,15 @@ LoweredFunc Lower(const Schedule& sch, const std::vector<Tensor>& args,
 // Engine-side compile-time specialization applied by the VM compiler and the C
 // emitter (see vm::CompileToProgram, codegen::EmitC): full unrolling of small
 // fixed-extent innermost loops with constant folding, and loop-invariant code motion
-// of integer index arithmetic into LetStmt bindings. The specialized body is
-// bitwise-equivalent to the original; the flags only trade compile time for
-// execution speed.
+// of index arithmetic and of loaded or computed scalar values into LetStmt bindings.
+// The specialized body is bitwise-equivalent to the original; the flags only trade
+// compile time for execution speed.
 struct LoopSpecializeOptions {
   // Fully unroll innermost serial/unrolled loops with constant extent <= this
   // (0 disables unrolling).
   int64_t unroll_limit = 8;
-  // Hoist loop-invariant integer subexpressions out of innermost loops.
+  // Hoist loop-invariant subexpressions out of innermost loops and bind values
+  // that recur within one iteration once (src/lower/unroll.cc).
   bool hoist_invariants = true;
   // No unrolling and no hoisting: the body compiles as lowered.
   static LoopSpecializeOptions Disabled();
@@ -67,7 +68,7 @@ struct LoopSpecializeOptions {
 struct LoopSpecializeStats {
   int unrolled_loops = 0;
   int hoisted_lets = 0;  // invariant bindings moved out of innermost loops
-  int csed_muls = 0;     // recurring loop-var multiplies bound once per iteration
+  int csed_exprs = 0;    // recurring values and loop-var multiplies bound per iteration
 };
 
 // Runs the IR-level specialization pipeline: unroll-and-fold, then invariant

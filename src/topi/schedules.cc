@@ -187,7 +187,6 @@ ConfigSpace GetScheduleSpace(const OpWorkload& wl, const Target& target) {
         {"tile_ow", DivisorChoices(out_w, 1, 32)},
         {"vectorize", {0, 1}},
         {"parallel", {0, 1}},
-        {"unroll", {0, 1}},
     };
   }
   return space;
@@ -384,7 +383,7 @@ void ScheduleDenseGpu(const Schedule& s, const Tensor& out, const Tensor& master
 // loops: each tile iteration then owns an independent accumulator that the C
 // compiler and the VM can overlap. Every output still accumulates its reduce
 // axes in the same order, so results are bitwise unchanged.
-IterVar ReduceOutsideTile(const Stage& st, const std::vector<IterVar>& tile) {
+void ReduceOutsideTile(const Stage& st, const std::vector<IterVar>& tile) {
   std::vector<IterVar> order;
   for (const IterVar& iv : st->leaf_iter_vars) {
     if (iv->type == IterVarType::kCommReduce) {
@@ -392,22 +391,19 @@ IterVar ReduceOutsideTile(const Stage& st, const std::vector<IterVar>& tile) {
     }
   }
   CHECK(!order.empty()) << "register tile needs a reduction stage";
-  IterVar innermost_reduce = order.back();
   order.insert(order.end(), tile.begin(), tile.end());
   st->reorder(order);
-  return innermost_reduce;
 }
 
 // Conv2d / depthwise / conv2d_transpose CPU template. All three computes share the
 // n, oc, oh, ow, <reduce axes> layout. Only the ow tile sits inside the reduction:
 // moving the oc tile there too gives the same speed with much larger C.
 void ScheduleConvCpu(const Schedule& s, const Tensor& out, const Tensor& master,
-                     const Config& cfg, bool depthwise) {
+                     const Config& cfg) {
   int64_t toc = At(cfg, "tile_oc", 4);
   int64_t tow = At(cfg, "tile_ow", 8);
   bool vec = At(cfg, "vectorize", 1) != 0;
   bool par = At(cfg, "parallel", 1) != 0;
-  bool unroll = At(cfg, "unroll", 0) != 0;
 
   Tensor pad = FindPadInput(master);
   if (pad.defined()) {
@@ -433,16 +429,10 @@ void ScheduleConvCpu(const Schedule& s, const Tensor& out, const Tensor& master,
     // Master leaves: n, oc, oh, <reduce axes>, ow.
     Stage sm = (*s)[master];
     sm->compute_at(so, owo);
-    IterVar rx = ReduceOutsideTile(sm, {sm->leaf_iter_vars[3]});
-    if (unroll && !depthwise) {
-      sm->unroll(rx);
-    }
+    ReduceOutsideTile(sm, {sm->leaf_iter_vars[3]});
   } else {
     // n, oco, oh, owo, oci, <reduce axes>, owi.
-    IterVar rx = ReduceOutsideTile(so, {owi});
-    if (unroll) {
-      so->unroll(rx);
-    }
+    ReduceOutsideTile(so, {owi});
   }
 }
 
@@ -582,7 +572,7 @@ Schedule ApplyOpSchedule(const OpWorkload& wl, const Target& target, const Built
     } else if (wl.kind == "dense") {
       ScheduleDenseCpu(s, built.output, built.output, config);
     } else {
-      ScheduleConvCpu(s, built.output, built.output, config, wl.kind == "depthwise_conv2d");
+      ScheduleConvCpu(s, built.output, built.output, config);
     }
   }
   return s;
@@ -625,8 +615,7 @@ Schedule ScheduleFusedGroup(const Target& target, const std::vector<Tensor>& gro
         } else if (master_wl->kind == "dense") {
           ScheduleDenseCpu(s, out, master, config);
         } else {
-          ScheduleConvCpu(s, out, master, config,
-                          master_wl->kind == "depthwise_conv2d");
+          ScheduleConvCpu(s, out, master, config);
         }
       }
     } else {
@@ -655,7 +644,7 @@ Schedule ScheduleFusedGroup(const Target& target, const std::vector<Tensor>& gro
     } else if (master_wl->kind == "dense") {
       ScheduleDenseCpu(s, out, master, config);
     } else {
-      ScheduleConvCpu(s, out, master, config, master_wl->kind == "depthwise_conv2d");
+      ScheduleConvCpu(s, out, master, config);
     }
   }
   return s;

@@ -146,7 +146,7 @@ struct Program {
   // Loop-specialization effect counters (see vm::ProgramStats).
   int spec_unrolled_loops = 0;
   int spec_hoisted_lets = 0;
-  int spec_csed_muls = 0;
+  int spec_csed_exprs = 0;
 };
 
 namespace {
@@ -173,7 +173,7 @@ class Compiler {
   explicit Compiler(const LoopSpecializeStats& ir_stats) {
     prog_.spec_unrolled_loops = ir_stats.unrolled_loops;
     prog_.spec_hoisted_lets = ir_stats.hoisted_lets;
-    prog_.spec_csed_muls = ir_stats.csed_muls;
+    prog_.spec_csed_exprs = ir_stats.csed_exprs;
   }
 
   std::shared_ptr<const Program> Compile(const LoweredFunc& func, const Stmt& body) {
@@ -2145,7 +2145,7 @@ ProgramStats GetProgramStats(const Program& program) {
   }
   st.unrolled_loops = program.spec_unrolled_loops;
   st.hoisted_lets = program.spec_hoisted_lets;
-  st.csed_muls = program.spec_csed_muls;
+  st.csed_exprs = program.spec_csed_exprs;
   return st;
 }
 

@@ -113,7 +113,7 @@ struct ProgramStats {
   // Specialization effect counters:
   int unrolled_loops = 0;      // IR loops fully unrolled (SpecializeLoops)
   int hoisted_lets = 0;        // invariant LetStmt bindings hoisted (SpecializeLoops)
-  int csed_muls = 0;           // recurring loop-var multiplies bound per iteration
+  int csed_exprs = 0;          // recurring values and loop-var multiplies bound per iteration
 };
 ProgramStats GetProgramStats(const Program& program);
 

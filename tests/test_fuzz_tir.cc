@@ -2,10 +2,12 @@
 // produces random TIR loop nests — mixed dtypes (f32/f16/i8/i32), serial /
 // unrolled / vectorized / parallel loops, padding guards, floormod-clamped
 // gather indices, wrap-casts bounding int products, expression lets, lazy
-// conditionals, and CSR-style indirect addressing (gathers and scatters through
-// a runtime i32 index buffer, in serial and vectorized loop bodies) — and every
-// program runs on the reference interpreter, the bytecode VM, and the AOT
-// native kernel. All three buffers must be *bitwise* identical.
+// conditionals, CSR-style indirect addressing (gathers and scatters through
+// a runtime i32 index buffer, in serial and vectorized loop bodies), load/exp/
+// sigmoid subtrees invariant in the innermost loop (some reading the buffer the
+// loop stores), and loops that run zero times or a trip count read at run time —
+// and every program runs on the reference interpreter, the bytecode VM, and the
+// AOT native kernel. All three buffers must be *bitwise* identical.
 //
 // Determinism: TVMCPP_FUZZ_SEED picks the corpus (default pinned, so ctest runs
 // the same programs every time); TVMCPP_FUZZ_CASES its size (default 200; the
@@ -87,6 +89,11 @@ struct CaseSpec {
   int64_t out_elems = 0;
   Expr value;  // stored expression over loop_vars / loads of input_vars
   Expr guard;  // optional store guard; null = unguarded
+  // One loop may run fewer times than its shape extent: zero times, or a trip
+  // count read at run time (Idx[0] floormod extent+1, possibly zero), which loop
+  // specialization must treat as unknown. -1 = every loop runs its full extent.
+  int short_loop = -1;
+  bool short_symbolic = false;
 };
 
 Expr FlatIndex(const CaseSpec& spec) {
@@ -112,8 +119,13 @@ LoweredFunc BuildCase(const CaseSpec& spec, const std::string& name) {
     st = if_then_else_stmt(spec.guard, st);
   }
   for (size_t j = spec.loop_vars.size(); j-- > 0;) {
-    st = for_stmt(spec.loop_vars[j], make_int(0), make_int(spec.extents[j]), st,
-                  spec.for_types[j]);
+    Expr extent = make_int(spec.extents[j]);
+    if (static_cast<int>(j) == spec.short_loop) {
+      extent = spec.short_symbolic
+                   ? load(DataType::Int32(), spec.idx_var, make_int(0)) % (spec.extents[j] + 1)
+                   : make_int(0);
+    }
+    st = for_stmt(spec.loop_vars[j], make_int(0), extent, st, spec.for_types[j]);
   }
   LoweredFunc f;
   f.name = name;
@@ -177,6 +189,15 @@ class CaseGen {
       s.idx_var = make_var("Idx", DataType::Handle());
       s.indirect_store = !vectorized_ && rng_->Chance(0.4);
     }
+    // ~15% of cases shorten one loop to zero trips or a run-time trip count.
+    if (rng_->Chance(0.15)) {
+      s.short_loop = static_cast<int>(rng_->Range(0, dims - 1));
+      s.short_symbolic = rng_->Chance(0.6);
+      if (s.short_symbolic && s.idx_elems == 0) {
+        s.idx_elems = rng_->Range(2, 8);
+        s.idx_var = make_var("Idx", DataType::Handle());
+      }
+    }
     spec_ = &s;
     s.value = cast(s.dtype, GenValue(3));
     if (rng_->Chance(0.3)) {
@@ -208,6 +229,34 @@ class CaseGen {
       }
     }
     return idx % elems;
+  }
+
+  // A load or exp/sigmoid of a load whose index omits the innermost loop variable:
+  // invariant in the innermost loop, the shape of a fused prologue that loop
+  // specialization moves out of it. Outside vectorized bodies a quarter of them
+  // read Out, which the loop stores, so that load has to stay inside.
+  Expr InvariantValue() {
+    Expr idx = make_int(rng_->Range(0, spec_->out_elems - 1));
+    for (size_t j = 0; j + 1 < spec_->loop_vars.size(); ++j) {
+      const int64_t c = rng_->Range(0, 3);
+      if (c != 0) {
+        idx = idx + Expr(spec_->loop_vars[j]) * c;
+      }
+    }
+    Expr v;
+    if (!vectorized_ && rng_->Chance(0.25)) {
+      v = load(spec_->dtype, spec_->out_var, idx % spec_->out_elems);
+    } else {
+      const size_t buf = static_cast<size_t>(
+          rng_->Range(0, static_cast<int64_t>(spec_->input_vars.size()) - 1));
+      v = load(spec_->dtype, spec_->input_vars[buf], idx % spec_->in_elems);
+    }
+    if (!spec_->dtype.is_float() || rng_->Chance(0.4)) {
+      return v;
+    }
+    // Clamped like the other exp-family calls: Out may hold large stored values.
+    Expr x = max(min(v, make_const(spec_->dtype, 3.0)), make_const(spec_->dtype, -3.0));
+    return rng_->Chance(0.5) ? exp(x) : sigmoid(x);
   }
 
   // floormod-clamped gather index: always lands in [0, in_elems). When the case
@@ -257,7 +306,7 @@ class CaseGen {
       return Leaf();
     }
     const bool is_float = spec_->dtype.is_float();
-    switch (rng_->Range(0, 7)) {
+    switch (rng_->Range(0, 8)) {
       case 0:
         return add(GenValue(depth - 1), GenValue(depth - 1));
       case 1:
@@ -311,6 +360,8 @@ class CaseGen {
                make_int(spec_->extents[j])),
             LoadLeaf(), make_const(spec_->dtype, 0));
       }
+      case 7:
+        return InvariantValue();
       default:
         return Leaf();
     }
@@ -477,6 +528,14 @@ CaseSpec Reduce(CaseSpec spec, uint64_t fill_seed) {
     if (spec.guard != nullptr) {
       CaseSpec t = spec;
       t.guard = nullptr;
+      if (SpecFails(t, fill_seed, &why)) {
+        spec = t;
+        changed = true;
+      }
+    }
+    if (spec.short_loop >= 0) {
+      CaseSpec t = spec;
+      t.short_loop = -1;
       if (SpecFails(t, fill_seed, &why)) {
         spec = t;
         changed = true;

@@ -2,10 +2,16 @@
 // static memory planning, and end-to-end executor numerics vs. unfused execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "src/frontend/models.h"
 #include "src/graph/executor.h"
 #include "src/graph/graph.h"
 
@@ -172,6 +178,64 @@ TEST(GraphPasses, MemoryPlanReuse) {
   MemoryPlan plan = PlanMemory(g, groups);
   EXPECT_LT(plan.planned_bytes, plan.unplanned_bytes);
   EXPECT_LE(plan.planned_bytes, 3 * 64 * 64 * 4);
+}
+
+// Loop specialization reads a kernel's inputs once ahead of the loop that stores
+// its output, judging aliasing by buffer identity: that holds only while no kernel's
+// output shares storage with one of its inputs. The planner must keep it so on every
+// zoo model, fused and unfused.
+TEST(GraphPasses, MemoryPlanNeverAliasesKernelOutputWithInput) {
+  const std::vector<std::pair<std::string, Graph>> zoo = {
+      {"resnet18", frontend::ResNet18(1, 32).graph},
+      {"mobilenet", frontend::MobileNet(1, 56).graph},
+      {"dqn", frontend::Dqn(1).graph},
+      {"dcgan", frontend::Dcgan(1).graph},
+      {"lstm", frontend::LstmLanguageModel(4, 650, 1).graph},
+      {"sparse_mlp", frontend::SparseMlp(1, 1024, 1024, 256, 0.95).graph},
+  };
+  for (const auto& [name, g] : zoo) {
+    for (bool fuse : {true, false}) {
+      std::vector<FusedGroup> groups = FuseOps(g, fuse);
+      MemoryPlan plan = PlanMemory(g, groups);
+      for (const FusedGroup& grp : groups) {
+        const int out = grp.nodes.back();
+        const int out_sid = plan.storage_id[static_cast<size_t>(out)];
+        ASSERT_GE(out_sid, 0) << name << ": kernel output " << g.node(out).name;
+        std::unordered_set<int> in_group(grp.nodes.begin(), grp.nodes.end());
+        for (int id : grp.nodes) {
+          for (int in : g.node(id).inputs) {
+            if (!in_group.count(in)) {
+              EXPECT_NE(plan.storage_id[static_cast<size_t>(in)], out_sid)
+                  << name << (fuse ? " fused" : " unfused") << ": output "
+                  << g.node(out).name << " shares storage with input " << g.node(in).name;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GraphExec, OutputOverlappingAnInputIsATypedError) {
+  Graph g;
+  int x = g.AddInput("x", {4, 8});
+  int r = g.AddOp("relu", "r", {x});
+  g.outputs = {r};
+  auto compiled = std::make_shared<CompiledGraph>(g, Target::ArmA53());
+  NDArray storage = NDArray::Random({2 * 4 * 8}, DataType::Float32(), 3);
+  auto run = [&](int64_t out_offset_floats) {
+    RunContext ctx(compiled);
+    ctx.SetInput("x", NDArray::ShareStorage(storage, {4, 8}, DataType::Float32()));
+    ctx.BindOutput(0, NDArray::ShareStorage(storage, {4, 8}, DataType::Float32(),
+                                            out_offset_floats * 4));
+    compiled->Run(&ctx);
+  };
+  EXPECT_THROW(run(0), AliasedBufferError);   // the same storage
+  EXPECT_THROW(run(31), AliasedBufferError);  // the last input element
+  EXPECT_NO_THROW(run(32));                   // adjacent, disjoint
+  for (int64_t i = 0; i < 32; ++i) {
+    EXPECT_EQ(storage.Data<float>()[32 + i], std::max(storage.Data<float>()[i], 0.0f));
+  }
 }
 
 }  // namespace

@@ -16,10 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "src/codegen/native.h"
 #include "src/frontend/models.h"
 #include "src/graph/executor.h"
 #include "src/graph/graph.h"
 #include "src/interp/interp.h"
+#include "src/ir/functor.h"
 #include "src/ir/printer.h"
 #include "src/lower/lower.h"
 #include "src/runtime/ndarray.h"
@@ -314,7 +316,237 @@ TEST(SpecializeUnit, DisabledMatchesLegacyCompilation) {
   vm::ProgramStats st = vm::GetProgramStats(*base);
   EXPECT_EQ(st.unrolled_loops, 0);
   EXPECT_EQ(st.hoisted_lets, 0);
-  EXPECT_EQ(st.csed_muls, 0);
+  EXPECT_EQ(st.csed_exprs, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Value hoisting: loads, math calls and float arithmetic leave innermost loops
+// only where the original evaluates them anyway
+// ---------------------------------------------------------------------------
+
+// Runs `f` on the interpreter and the native tier and compares every buffer.
+void ExpectNativeMatchesInterp(const LoweredFunc& f, const std::vector<ArgBuf>& args) {
+  codegen::NativeKernel native = codegen::CompileNativeKernel(f, LoopSpecializeOptions{});
+  ASSERT_TRUE(native) << "native tier rejected " << f.name;
+  std::vector<ArgBuf> interp_bufs = args;
+  std::vector<ArgBuf> native_bufs = args;
+  std::vector<BufferBinding> interp_bind, native_bind;
+  for (size_t i = 0; i < args.size(); ++i) {
+    interp_bind.push_back(interp_bufs[i].Bind());
+    native_bind.push_back(native_bufs[i].Bind());
+  }
+  RunLoweredInterp(f, interp_bind);
+  codegen::RunNativeKernel(native, native_bind);
+  for (size_t i = 0; i < args.size(); ++i) {
+    EXPECT_EQ(std::memcmp(interp_bufs[i].bytes.data(), native_bufs[i].bytes.data(),
+                          interp_bufs[i].bytes.size()),
+              0)
+        << f.name << ": buffer " << i << " differs between interp and native";
+  }
+}
+
+// Counts calls named `name` and loads of `buffer`, either everywhere or only inside
+// innermost loops (a loop with no loop in its body).
+struct ExprCounter : public StmtVisitor {
+  std::string call;
+  const VarNode* buffer = nullptr;
+  int calls = 0;
+  int loads = 0;
+
+  void VisitCall(const CallNode* op) override {
+    calls += op->name == call;
+    StmtVisitor::VisitCall(op);
+  }
+  void VisitLoad(const LoadNode* op) override {
+    loads += op->buffer_var.get() == buffer;
+    StmtVisitor::VisitLoad(op);
+  }
+};
+
+ExprCounter CountIn(const Stmt& s, const std::string& call, const VarNode* buffer,
+                    bool innermost_only) {
+  ExprCounter counter;
+  counter.call = call;
+  counter.buffer = buffer;
+  if (!innermost_only) {
+    counter.VisitStmt(s);
+    return counter;
+  }
+  PostOrderVisitStmt(s, [&](const Stmt& st) {
+    if (st->kind != StmtKind::kFor) {
+      return;
+    }
+    const Stmt& body = static_cast<const ForNode*>(st.get())->body;
+    bool innermost = true;
+    PostOrderVisitStmt(body, [&](const Stmt& b) { innermost &= b->kind != StmtKind::kFor; });
+    if (innermost) {
+      counter.VisitStmt(body);
+    }
+  });
+  return counter;
+}
+
+// The engines' pipeline up to the final Simplify.
+Stmt Specialized(const LoweredFunc& f) {
+  return SpecializeLoops(VectorizeLoop(f.body), LoopSpecializeOptions{});
+}
+
+// The LSTM cell's shape: a dense whose input is the fused injective prologue
+// sigmoid(gate) * data, with a relu epilogue, on the CPU template. The prologue
+// depends on (y, k) only, so it is invariant in the x tile (16 wide: not unrolled).
+LoweredFunc BuildPrologueDense(std::vector<Tensor>* tensors) {
+  const int64_t y = 2, k = 24, x = 32;
+  DataType f32 = DataType::Float32();
+  Tensor gate = placeholder({make_int(y), make_int(k)}, f32, "gate");
+  Tensor data = placeholder({make_int(y), make_int(k)}, f32, "data");
+  Tensor weight = placeholder({make_int(x), make_int(k)}, f32, "weight");
+  Tensor prologue = compute({make_int(y), make_int(k)},
+                            [&](const std::vector<Var>& i) {
+                              return sigmoid(gate({i[0], i[1]})) * data({i[0], i[1]});
+                            },
+                            "prologue");
+  Tensor dense = topi::Dense(prologue, weight);
+  Tensor out = topi::Relu(dense);
+  topi::OpWorkload wl;
+  wl.kind = "dense";
+  wl.n = static_cast<int>(y);
+  wl.k = static_cast<int>(k);
+  wl.oc = static_cast<int>(x);
+  Target cpu = Target::ArmA53();
+  topi::Config config = topi::DefaultConfig(topi::GetScheduleSpace(wl, cpu));
+  config["parallel"] = 0;
+  config["tile_y"] = 1;
+  config["tile_x"] = 16;
+  Schedule s = topi::ScheduleFusedGroup(cpu, {out}, dense, config, &wl);
+  *tensors = {gate, data, weight, out};
+  return Lower(s, *tensors, "dense_sigmoid_prologue");
+}
+
+TEST(SpecializeHoist, FusedPrologueRunsOncePerTile) {
+  std::vector<Tensor> t;
+  LoweredFunc f = BuildPrologueDense(&t);
+  ASSERT_GT(CountIn(f.body, "sigmoid", nullptr, /*innermost_only=*/true).calls, 0)
+      << "fixture: the prologue must start inside the innermost (x tile) loop";
+  Stmt spec = Specialized(f);
+  EXPECT_EQ(CountIn(spec, "sigmoid", nullptr, true).calls, 0)
+      << "sigmoid(gate) * data was not bound outside the x tile:\n"
+      << ToString(spec);
+  EXPECT_GT(CountIn(spec, "sigmoid", nullptr, false).calls, 0);
+  std::vector<ArgBuf> args = MakeArgs(t, 43);
+  vm::ProgramStats st = ExpectSpecializedIdentical(f, args);
+  EXPECT_GT(st.hoisted_lets, 0);
+  ExpectNativeMatchesInterp(f, args);
+}
+
+// for i in [0, extent): Out[i] = value(i), over In[16] and Out[16]; `extent` may
+// read `Idx[0]` through a LetStmt (a symbolic trip count).
+struct LoopCase {
+  Var in = make_var("In", DataType::Handle());
+  Var out = make_var("Out", DataType::Handle());
+  Var idx = make_var("Idx", DataType::Handle());
+  Var i = make_var("i");
+
+  LoweredFunc Build(const std::string& name, const Expr& value, Expr extent,
+                    bool symbolic = false) {
+    Var n = make_var("n");
+    Stmt body = for_stmt(i, make_int(0), symbolic ? Expr(n) : extent,
+                         store(out, value, Expr(i) % 16));
+    if (symbolic) {
+      body = let_stmt(n, load(DataType::Int32(), idx, make_int(0)), body);
+    }
+    LoweredFunc f;
+    f.name = name;
+    f.args = {BufferArg{in, DataType::Float32(), {16}, "In"},
+              BufferArg{idx, DataType::Int32(), {1}, "Idx"},
+              BufferArg{out, DataType::Float32(), {16}, "Out"}};
+    f.body = body;
+    return f;
+  }
+
+  static std::vector<ArgBuf> Args(int32_t trip) {
+    std::vector<ArgBuf> args = {ArgBuf::Make(16, DataType::Float32(), 51),
+                                ArgBuf::Make(1, DataType::Int32(), 0),
+                                ArgBuf::Make(16, DataType::Float32(), 53)};
+    std::memcpy(args[1].bytes.data(), &trip, sizeof(trip));
+    return args;
+  }
+
+  Expr In(const Expr& index) const { return load(DataType::Float32(), in, index); }
+  Expr Out(const Expr& index) const { return load(DataType::Float32(), out, index); }
+};
+
+TEST(SpecializeHoist, InvariantLoadAndCallLeaveTheLoop) {
+  // The positive control for the negatives below: same shape, nothing in the way.
+  LoopCase c;
+  LoweredFunc f = c.Build("hoist_positive",
+                          exp(c.In(make_int(3))) * make_float(0.5) + c.In(c.i), make_int(12));
+  Stmt spec = Specialized(f);
+  EXPECT_EQ(CountIn(spec, "exp", nullptr, true).calls, 0) << ToString(spec);
+  EXPECT_EQ(CountIn(spec, "", c.in.get(), true).loads, 1) << ToString(spec);
+  std::vector<ArgBuf> args = LoopCase::Args(0);
+  ExpectSpecializedIdentical(f, args);
+  ExpectNativeMatchesInterp(f, args);
+}
+
+TEST(SpecializeHoist, LoadOfBufferStoredInTheLoopStays) {
+  // Out[0] is invariant in form, but iteration 0 overwrites it.
+  LoopCase c;
+  LoweredFunc f = c.Build("hoist_stored", c.Out(make_int(0)) * make_float(2.0) + c.In(c.i),
+                          make_int(12));
+  Stmt spec = Specialized(f);
+  EXPECT_EQ(CountIn(spec, "", c.out.get(), false).loads,
+            CountIn(spec, "", c.out.get(), true).loads)
+      << "a load of the stored buffer left the loop:\n"
+      << ToString(spec);
+  std::vector<ArgBuf> args = LoopCase::Args(0);
+  ExpectSpecializedIdentical(f, args);
+  ExpectNativeMatchesInterp(f, args);
+}
+
+TEST(SpecializeHoist, ConditionalArmsStay) {
+  // Only the i < 3 iterations evaluate exp(In[2]) and In[4]: hoisting either would
+  // evaluate it where the program does not.
+  LoopCase c;
+  Expr early = lt(Expr(c.i), make_int(3));
+  LoweredFunc sel = c.Build("hoist_select", select(early, exp(c.In(make_int(2))), c.In(c.i)),
+                            make_int(12));
+  LoweredFunc ite = c.Build("hoist_if_then_else",
+                            if_then_else(early, c.In(make_int(4)), make_float(0.0)),
+                            make_int(12));
+  for (const LoweredFunc* f : {&sel, &ite}) {
+    Stmt spec = Specialized(*f);
+    EXPECT_EQ(CountIn(spec, "", c.in.get(), false).loads,
+              CountIn(spec, "", c.in.get(), true).loads)
+        << f->name << ": a load in a conditional arm left the loop:\n"
+        << ToString(spec);
+    std::vector<ArgBuf> args = LoopCase::Args(0);
+    ExpectSpecializedIdentical(*f, args);
+    ExpectNativeMatchesInterp(*f, args);
+  }
+}
+
+TEST(SpecializeHoist, ZeroOrSymbolicTripCountKeepsLoadsInside) {
+  // In[1 << 30] is far out of bounds: evaluated ahead of a loop that runs zero
+  // times, it would trap on the interpreter and VM (bounds checks) and fault on the
+  // native tier. The loop never runs it, so no tier may.
+  LoopCase c;
+  Expr oob = exp(c.In(make_int(int64_t{1} << 30)));
+  LoweredFunc zero = c.Build("hoist_zero_trip", oob, make_int(0));
+  LoweredFunc symbolic = c.Build("hoist_symbolic_trip", oob, nullptr, /*symbolic=*/true);
+  // The structural rule, before Simplify deletes the empty loop.
+  for (const LoweredFunc* f : {&zero, &symbolic}) {
+    Stmt spec = Specialized(*f);
+    EXPECT_EQ(CountIn(spec, "", c.in.get(), false).loads,
+              CountIn(spec, "", c.in.get(), true).loads)
+        << f->name << ": the load left a loop that may not run:\n"
+        << ToString(spec);
+  }
+  // Run with a zero trip count on every tier: nothing traps, nothing is written.
+  for (const LoweredFunc* f : {&zero, &symbolic}) {
+    std::vector<ArgBuf> args = LoopCase::Args(0);
+    EXPECT_NO_THROW(ExpectSpecializedIdentical(*f, args)) << f->name;
+    ExpectNativeMatchesInterp(*f, args);
+  }
 }
 
 // ---------------------------------------------------------------------------
