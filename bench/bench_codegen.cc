@@ -2,8 +2,9 @@
 // interpreter on real kernel execution.
 //
 // Measures wall-clock time of a conv2d + fused relu epilogue and a vectorized
-// dense kernel on all three tiers, single-threaded, plus the native module
-// cache's cold-compile vs warm-hit cost. Emits machine-readable JSON lines via
+// dense kernel on all three tiers, single-threaded, DCGAN's 256 -> 128
+// conv2d_transpose layer on native and the VM, plus the native module cache's
+// cold-compile vs warm-hit cost. Emits machine-readable JSON lines via
 // PrintBenchJson into BENCH_vm.json (`native_*` rows); the smoke gate picks up
 // the `*speedup*` fields automatically, enforcing that the native tier is never
 // slower than the VM it sits above.
@@ -116,6 +117,57 @@ BuiltKernel BuildDense() {
   return k;
 }
 
+// DCGAN's second transposed convolution (256 -> 128 channels, 8x8 -> 16x16, k=4,
+// stride 2, pad 1) with its fused relu, as the zoo compiles it: median ms and
+// GFLOP/s on native and on the VM (the interpreter would take tens of seconds
+// per run at full size).
+void BenchConv2dTransposeDcgan(int repeats) {
+  bool smoke = bench::BenchSmokeMode();
+  topi::OpWorkload wl;
+  wl.kind = "conv2d_transpose";
+  wl.ic = smoke ? 32 : 256;
+  wl.oc = smoke ? 16 : 128;
+  wl.h = wl.w = 8;
+  wl.k = 4;
+  wl.stride = 2;
+  wl.pad = 1;
+  topi::BuiltOp built = topi::BuildOpCompute(wl);
+  Tensor out = topi::Relu(built.output);
+  Target cpu = Target::ArmA53();
+  topi::Config config = topi::DefaultConfig(topi::GetScheduleSpace(wl, cpu));
+  config["parallel"] = 0;
+  Schedule s = topi::ScheduleFusedGroup(cpu, {out}, built.output, config, &wl);
+  std::vector<Tensor> args = {built.inputs[0], built.inputs[1], out};
+  BuiltKernel k;
+  k.func = Lower(s, args, "native_conv2d_transpose_dcgan");
+  for (size_t i = 0; i < args.size(); ++i) {
+    k.bufs.push_back(RandomBuf(NumElems(args[i]), DataType::Float32(), 20 + i));
+  }
+  std::vector<BufferBinding> bind = k.Bindings();
+  std::shared_ptr<const vm::Program> prog = vm::CompileToProgram(k.func);
+  codegen::NativeKernel native =
+      codegen::CompileNativeKernel(k.func, LoopSpecializeOptions{});
+  if (prog == nullptr || !native) {
+    std::printf("conv2d_transpose_dcgan: VM or native compile failed, skipping\n");
+    return;
+  }
+  vm::ExecOptions serial;
+  serial.num_threads = 1;
+  bench::TimingStats vm_ms =
+      bench::MeasureStatsMs([&] { vm::Run(*prog, bind, serial); }, repeats);
+  bench::TimingStats native_ms =
+      bench::MeasureStatsMs([&] { codegen::RunNativeKernel(native, bind); }, repeats);
+  const double mflop = wl.Flops() / 1e6;  // MFLOP per ms is GFLOP/s
+  bench::PrintBenchJson("native_conv2d_transpose_dcgan",
+                        {{"repeats", static_cast<double>(repeats)},
+                         {"gflop", mflop / 1e3},
+                         {"vm_ms", vm_ms.median_ms},
+                         {"vm_gflops", mflop / vm_ms.median_ms},
+                         {"native_ms", native_ms.median_ms},
+                         {"native_gflops", mflop / native_ms.median_ms},
+                         {"native_speedup_vs_vm", vm_ms.median_ms / native_ms.median_ms}});
+}
+
 // Times one workload on all three tiers. Native compilation happens before the
 // timed region (the module cache makes it a once-per-content cost in serving,
 // not a per-run one; the cache row below measures it separately).
@@ -198,6 +250,7 @@ int main() {
   const int repeats = bench::BenchSmokeMode() ? 3 : 10;
   BenchThreeTiers("conv2d_relu", BuildConvRelu(), repeats);
   BenchThreeTiers("dense", BuildDense(), repeats);
+  BenchConv2dTransposeDcgan(bench::BenchSmokeMode() ? 3 : 5);
   BenchCompileCache();
   return 0;
 }

@@ -7,7 +7,7 @@
 using namespace tvmcpp;
 
 int main() {
-  std::printf("Figure 14: GPU end-to-end (Titan X model), times in ms\n");
+  std::printf("Figure 14: GPU end-to-end, estimated (Titan X machine model), times in ms\n");
   std::printf("paper: TVM speedup over frameworks 1.6x - 3.8x (DQN highest)\n\n");
   Target t = Target::TitanX();
   struct Case {

@@ -131,8 +131,8 @@ BuiltKernel BuildScalarDense() {
   return k;
 }
 
-// Per variant: the median of `repeats` timed runs with their min and max, the
-// speedup of the medians, and the host the row was measured on.
+// Per variant: the median of `repeats` timed runs with their min and max, and the
+// speedup of the medians.
 std::vector<std::pair<std::string, double>> TimingFields(const bench::TimingStats& base,
                                                          const bench::TimingStats& spec,
                                                          int repeats) {
@@ -143,12 +143,7 @@ std::vector<std::pair<std::string, double>> TimingFields(const bench::TimingStat
           {"spec_vm_ms", spec.median_ms},
           {"spec_vm_min_ms", spec.min_ms},
           {"spec_vm_max_ms", spec.max_ms},
-          {"spec_speedup", base.median_ms / spec.median_ms},
-          {"host_cores", static_cast<double>(bench::HostCores())}};
-}
-
-std::vector<std::pair<std::string, std::string>> HostFields() {
-  return {{"cpu", bench::HostCpu()}};
+          {"spec_speedup", base.median_ms / spec.median_ms}};
 }
 
 void BenchKernelSpecialize(const std::string& name, BuiltKernel k, int repeats) {
@@ -175,7 +170,7 @@ void BenchKernelSpecialize(const std::string& name, BuiltKernel k, int repeats) 
                  {"instr_spec", static_cast<double>(ss.num_instructions)},
                  {"unrolled_loops", static_cast<double>(ss.unrolled_loops)},
                  {"hoisted_lets", static_cast<double>(ss.hoisted_lets)}});
-  bench::PrintBenchJson("specialize_" + name, fields, HostFields());
+  bench::PrintBenchJson("specialize_" + name, fields);
 }
 
 // The bench_serving dispatch-bound dense chain, compiled with and without loop
@@ -226,7 +221,7 @@ void BenchBatchedDenseChain(int repeats) {
       {"batch", batch}, {"iters", static_cast<double>(iters)}};
   std::vector<std::pair<std::string, double>> timing = TimingFields(base_ms, spec_ms, repeats);
   fields.insert(fields.end(), timing.begin(), timing.end());
-  bench::PrintBenchJson("specialize_batched_dense_chain", fields, HostFields());
+  bench::PrintBenchJson("specialize_batched_dense_chain", fields);
 }
 
 }  // namespace

@@ -216,9 +216,12 @@ inline void OpenDefaultBenchJsonSink(const std::string& default_path) {
 }
 
 // Prints one machine-readable result line, e.g.
-//   {"bench": "vm_speedup_conv2d", "interp_ms": 41.2, "vm_ms": 5.1, "speedup": 8.1}
-// to stdout (`text_fields` are appended as JSON strings) and, when a sink is open, upserts it by bench name into the BENCH_*.json
-// trajectory file (rewritten and flushed per line, so partial runs still land).
+//   {"bench": "vm_speedup_conv2d", "interp_ms": 41.2, "vm_ms": 5.1, "speedup": 8.1,
+//    "host_cores": 4, "cpu": "..."}
+// to stdout (`text_fields` are appended as JSON strings, then the host the row was
+// measured on) and, when a sink is open, upserts it by bench name into the
+// BENCH_*.json trajectory file (rewritten and flushed per line, so partial runs
+// still land).
 inline void PrintBenchJson(const std::string& bench,
                            const std::vector<std::pair<std::string, double>>& fields,
                            const std::vector<std::pair<std::string, std::string>>&
@@ -232,6 +235,8 @@ inline void PrintBenchJson(const std::string& bench,
   for (const auto& kv : text_fields) {
     line += ", \"" + kv.first + "\": \"" + kv.second + "\"";
   }
+  line += ", \"host_cores\": " + std::to_string(HostCores());
+  line += ", \"cpu\": \"" + HostCpu() + "\"";
   line += "}";
   std::printf("%s\n", line.c_str());
   BenchJsonSink* sink = BenchJsonSinkSlot();

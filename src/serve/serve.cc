@@ -478,6 +478,11 @@ InferenceResponse InferenceServer::RunOneWithRetry(const Pending& p,
       // down-tiering to the slower interpreter) could never finish in time.
       resp.status = {StatusCode::kDeadlineExceeded, e.what()};
       return resp;
+    } catch (const graph::AliasedBufferError& e) {
+      // The overlap is in the request's own bindings: every retry, and the
+      // interpreter fallback, would fail the same way.
+      resp.status = {StatusCode::kExecutionFailed, e.what()};
+      return resp;
     } catch (const std::exception& e) {
       // InjectedFault and InternalError (CHECK failures) both land here: real
       // faults and injected ones take the same recovery path.

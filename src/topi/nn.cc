@@ -87,28 +87,42 @@ Tensor Conv2dTransposeNCHW(const Tensor& data, const Tensor& kernel, int stride,
   int64_t out_c = Dim(kernel, 1), kh = Dim(kernel, 2), kw = Dim(kernel, 3);
   int64_t out_h = (in_h - 1) * stride + kh - 2 * pad;
   int64_t out_w = (in_w - 1) * stride + kw - 2 * pad;
+  // Sub-pixel (phase) form: output row oh reads input row (oh + pad - ry) / stride,
+  // which exists only for taps ry = (oh + pad) % stride + stride * jy. Visiting
+  // just those taps, in ascending order, sums the same non-zero terms in the same
+  // rc-major, ascending-(ry, rx) order as visiting every tap and zeroing the
+  // misaligned ones; with finite weights the skipped terms are exact zeros, so the
+  // result is bitwise unchanged.
+  int64_t taps_h = (kh + stride - 1) / stride, taps_w = (kw + stride - 1) / stride;
   IterVar rc = reduce_axis(Range(make_int(0), make_int(in_c)), name + ".rc");
-  IterVar ry = reduce_axis(Range(make_int(0), make_int(kh)), name + ".ry");
-  IterVar rx = reduce_axis(Range(make_int(0), make_int(kw)), name + ".rx");
+  IterVar jy = reduce_axis(Range(make_int(0), make_int(taps_h)), name + ".jy");
+  IterVar jx = reduce_axis(Range(make_int(0), make_int(taps_w)), name + ".jx");
   return compute(
       {make_int(batch), make_int(out_c), make_int(out_h), make_int(out_w)},
       [&](const std::vector<Var>& i) {
-        // Input position contributing through kernel tap (ry, rx).
-        Expr hn = i[2] + make_int(pad) - ry->var;
-        Expr wn = i[3] + make_int(pad) - rx->var;
-        Expr h = hn / make_int(stride);
-        Expr w = wn / make_int(stride);
-        Expr aligned = logic_and(eq(hn % make_int(stride), make_int(0)),
-                                 eq(wn % make_int(stride), make_int(0)));
-        Expr in_bounds = logic_and(
-            logic_and(ge(h, make_int(0)), lt(h, make_int(in_h))),
-            logic_and(ge(w, make_int(0)), lt(w, make_int(in_w))));
+        Expr hp = i[2] + make_int(pad);
+        Expr wp = i[3] + make_int(pad);
+        Expr ry = hp % make_int(stride) + make_int(stride) * jy->var;
+        Expr rx = wp % make_int(stride) + make_int(stride) * jx->var;
+        Expr h = hp / make_int(stride) - jy->var;
+        Expr w = wp / make_int(stride) - jx->var;
+        Expr valid = logic_and(logic_and(ge(h, make_int(0)), lt(h, make_int(in_h))),
+                               logic_and(ge(w, make_int(0)), lt(w, make_int(in_w))));
+        // When stride does not divide k, the last phase tap can fall past the kernel.
+        if (kh % stride != 0) {
+          valid = logic_and(valid, lt(ry, make_int(kh)));
+          ry = min(ry, make_int(kh - 1));
+        }
+        if (kw % stride != 0) {
+          valid = logic_and(valid, lt(rx, make_int(kw)));
+          rx = min(rx, make_int(kw - 1));
+        }
         Expr hc = max(min(h, make_int(in_h - 1)), make_int(0));
         Expr wc = max(min(w, make_int(in_w - 1)), make_int(0));
-        Expr val = if_then_else(logic_and(aligned, in_bounds),
-                                data({i[0], rc->var, hc, wc}), make_const(data.dtype(), 0)) *
-                   kernel({rc->var, i[1], ry->var, rx->var});
-        return sum(val, {rc, ry, rx});
+        Expr val = if_then_else(valid, data({i[0], rc->var, hc, wc}),
+                                make_const(data.dtype(), 0)) *
+                   kernel({rc->var, i[1], ry, rx});
+        return sum(val, {rc, jy, jx});
       },
       name);
 }

@@ -298,6 +298,15 @@ TEST(CodegenDiff, Conv2dTransposeReluF32) {
   ExpectThreeTierIdentical(f, MakeArgs(t, 37));
 }
 
+// k=3/s=2: the stride does not divide k, so the phase form's second tap is
+// guarded and its kernel index clamped for odd output rows and columns.
+TEST(CodegenDiff, Conv2dTransposeK3S2ReluF32) {
+  std::vector<Tensor> t;
+  LoweredFunc f = BuildCpuTemplate({"conv2d_transpose", 1, 5, 4, 6, 4, 3, 2, 1},
+                                   /*fuse_relu=*/true, &t, "cg_convt_k3s2_relu_f32");
+  ExpectThreeTierIdentical(f, MakeArgs(t, 47));
+}
+
 TEST(CodegenDiff, DepthwiseReluF32) {
   std::vector<Tensor> t;
   LoweredFunc f = BuildCpuTemplate({"depthwise_conv2d", 1, 9, 9, 8, 8, 3, 2, 1},

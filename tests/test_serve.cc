@@ -2,7 +2,8 @@
 // CompiledGraphs must produce bitwise-identical outputs to sequential GraphExecutor
 // runs (the differential pattern from tests/test_vm.cc), under TVMCPP_VM_STRICT
 // semantics so silent engine downgrades fail loudly. Also covers shutdown with
-// in-flight requests, post-shutdown rejection, and backpressure on a tiny queue.
+// in-flight requests, post-shutdown rejection, backpressure on a tiny queue, and a
+// request whose bound output aliases its input (failed once, never retried).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +22,7 @@
 #include "src/runtime/target.h"
 #include "src/serve/queue.h"
 #include "src/serve/serve.h"
+#include "src/support/failpoint.h"
 #include "src/vm/vm.h"
 
 namespace tvmcpp {
@@ -244,6 +246,38 @@ TEST(Serve, SubmitAfterShutdownRejected) {
   EXPECT_EQ(resp.status.code, serve::StatusCode::kRejected);
   EXPECT_FALSE(resp.status.ok());
   EXPECT_EQ(server.stats().rejected, 1);
+}
+
+// A bound output that overlaps the request's input fails the same way on every
+// attempt, so the retry ladder must stop at the first one: no same-engine retry,
+// no interpreter fallback.
+TEST(Serve, AliasedBindingFailsWithoutRetry) {
+  graph::Graph g;
+  int x = g.AddInput("x", {4, 8});
+  g.outputs = {g.AddOp("relu", "r", {x})};
+  auto model = std::make_shared<graph::CompiledGraph>(g, Target::ArmA53());
+  serve::ServerOptions options;
+  options.max_retries = 2;
+  options.retry_backoff_ms = 0.1;
+  options.enable_fallback = 1;
+  serve::InferenceServer server(options);
+  // A zero-delay action only counts how often the same-engine attempt runs.
+  ASSERT_TRUE(failpoint::ArmSpec("serve.run=delay(0)"));
+  NDArray storage = NDArray::Random({4 * 8}, DataType::Float32(), 3);
+  serve::InferenceRequest req;
+  req.inputs["x"] = NDArray::ShareStorage(storage, {4, 8}, DataType::Float32());
+  req.bound_outputs = {NDArray::ShareStorage(storage, {4, 8}, DataType::Float32())};
+  serve::InferenceResponse resp = server.Submit(model, std::move(req)).get();
+  const int64_t attempts = failpoint::HitCount("serve.run");
+  failpoint::DisarmAll();
+  EXPECT_EQ(resp.status.code, serve::StatusCode::kExecutionFailed);
+  EXPECT_EQ(attempts, 1);
+  EXPECT_EQ(resp.retries, 0);
+  EXPECT_FALSE(resp.fell_back);
+  serve::ServerStats s = server.stats();
+  EXPECT_EQ(s.retries, 0);
+  EXPECT_EQ(s.fallbacks, 0);
+  EXPECT_EQ(s.failed, 1);
 }
 
 // Pins the torn-read fix: stats() must return one consistent snapshot. Writers

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <string>
+#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -244,12 +245,50 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DepthwiseConfigSweepCpu, ::testing::Range(0, 16)
 class Conv2dTransposeConfigSweepCpu : public ::testing::TestWithParam<int> {};
 
 TEST_P(Conv2dTransposeConfigSweepCpu, AllConfigsCorrectCpu) {
-  // Stride 2 exercises the alignment guard; the output is 6x8x8.
+  // DCGAN's k=4/s=2/p=1: two phase taps per axis, each output row and column
+  // parity reading a different pair of kernel taps; the output is 6x8x8.
   RunSweepPoint({"conv2d_transpose", 1, 4, 4, 5, 6, 4, 2, 1}, Target::ArmA53(), GetParam(),
                 16);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Conv2dTransposeConfigSweepCpu, ::testing::Range(0, 16));
+
+// conv2d_transpose shapes off DCGAN's k=4/s=2/p=1: a stride that does not divide k
+// (the phase form's last tap can fall past the kernel and must be guarded), stride
+// 1 (one phase) and pad 0. Non-square inputs keep the two axes apart.
+const OpWorkload kConv2dTransposeShapes[] = {
+    {"conv2d_transpose", 1, 4, 5, 3, 4, 3, 2, 1},
+    {"conv2d_transpose", 1, 3, 4, 3, 4, 5, 3, 1},
+    {"conv2d_transpose", 1, 5, 4, 3, 4, 3, 1, 1},
+    {"conv2d_transpose", 1, 4, 3, 3, 4, 4, 2, 0},
+};
+
+class Conv2dTransposeShapeSweep
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(Conv2dTransposeShapeSweep, MatchesReferenceCpuAndGpu) {
+  const OpWorkload& wl = kConv2dTransposeShapes[std::get<0>(GetParam())];
+  RunSweepPoint(wl, Target::ArmA53(), std::get<1>(GetParam()), 4);
+  RunSweepPoint(wl, Target::TitanX(), std::get<1>(GetParam()), 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, Conv2dTransposeShapeSweep,
+                         ::testing::Combine(::testing::Range(0, 4), ::testing::Range(0, 4)));
+
+// The phase form visits ceil(k / stride) taps per axis, not k.
+TEST(Topi, Conv2dTransposeReducesOverPhaseTapsOnly) {
+  for (const OpWorkload& wl : kConv2dTransposeShapes) {
+    BuiltOp built = BuildOpCompute(wl);
+    const auto* cop = static_cast<const ComputeOpNode*>(built.output.op().get());
+    ASSERT_EQ(cop->reduce_axis.size(), 3u) << wl.Key();
+    const int64_t taps = (wl.k + wl.stride - 1) / wl.stride;
+    const std::vector<int64_t> want = {wl.ic, taps, taps};
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(get_const_int(Simplify(cop->reduce_axis[i]->dom.extent())), want[i])
+          << wl.Key() << " reduce axis " << i;
+    }
+  }
+}
 
 class DenseConfigSweep : public ::testing::TestWithParam<int> {};
 
